@@ -18,11 +18,6 @@ class Automorphism:
     half_edge_perm: tuple[int, ...]
     vertex_perm: tuple[int, ...]
 
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.half_edge_perm)) and all(
-            i == x for i, x in enumerate(self.vertex_perm)
-        )
-
 
 @dataclass(frozen=True)
 class SignedEdgePermutation:
@@ -35,19 +30,18 @@ class SignedEdgePermutation:
 def permutation_sign(p: tuple[int, ...] | list[int]) -> int:
     """+1 for even permutations, -1 for odd: (-1)**(n - #cycles)."""
     seen = [False] * len(p)
-    sign = 1
+    odd = False
     for i in range(len(p)):
         if seen[i]:
             continue
-        j = i
-        length = 0
-        while not seen[j]:
+        seen[i] = True
+        j = p[i]
+        while j != i:
+            # each element past the first of a cycle adds one transposition
             seen[j] = True
             j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+            odd = not odd
+    return -1 if odd else 1
 
 
 def cycle_notation(p: tuple[int, ...]) -> str:
@@ -117,59 +111,67 @@ def induced_signed_edge_perm(
     g: Multigraph, o: Orientation, a: Automorphism
 ) -> SignedEdgePermutation:
     """Where each edge goes and whether its arrow is preserved (+1) or reversed (-1)."""
-    hep = a.half_edge_perm
+    hep, tail = a.half_edge_perm, o.tail
     edge_perm = []
     edge_sign = []
-    for e in range(g.edge_count):
-        image = hep[o.tail[e]]
+    for t in tail:
+        image = hep[t]
         f = image >> 1
         edge_perm.append(f)
-        edge_sign.append(1 if image == o.tail[f] else -1)
+        edge_sign.append(1 if image == tail[f] else -1)
     return SignedEdgePermutation(tuple(edge_perm), tuple(edge_sign))
 
 
-def _half_edge_extensions(g: Multigraph, vperm: tuple[int, ...]) -> list[Automorphism]:
-    """All automorphisms over a multiplicity-preserving vertex bijection.
+class _HalfEdgeExtensions:
+    """Per-graph tables for extending a vertex bijection to half-edges.
 
     Parallel edges may be matched in any order within their endpoint-pair
     class; loops additionally may swap their two halves. Non-loop half-edge
     images are forced by the vertex images.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for e in range(g.edge_count):
-        a, b = g.edge_ends(e)
-        groups.setdefault((a, b) if a <= b else (b, a), []).append(e)
-    pairs = sorted(groups)
-    choice_lists = []
-    for a, b in pairs:
-        qa, qb = vperm[a], vperm[b]
-        target = groups[(qa, qb) if qa <= qb else (qb, qa)]
-        choice_lists.append(list(itertools.permutations(target)))
-    loops = [e for e in range(g.edge_count) if g.is_loop(e)]
 
-    out: list[Automorphism] = []
-    for assignment in itertools.product(*choice_lists):
-        edge_image = [0] * g.edge_count
-        for pair, targets in zip(pairs, assignment):
-            for e, f in zip(groups[pair], targets):
-                edge_image[e] = f
-        base = [0] * g.half_edge_count
-        for e in range(g.edge_count):
-            f = edge_image[e]
-            if g.is_loop(e) or g.endpoint[2 * f] == vperm[g.endpoint[2 * e]]:
-                # loops take the un-flipped matching here; flips come below
-                base[2 * e] = 2 * f
-                base[2 * e + 1] = 2 * f + 1
-            else:
-                base[2 * e] = 2 * f + 1
-                base[2 * e + 1] = 2 * f
-        for flips in itertools.product((0, 1), repeat=len(loops)):
-            hep = list(base)
-            for e, flip in zip(loops, flips):
-                if flip:
+    def __init__(self, g: Multigraph) -> None:
+        classes: dict[tuple[int, int], list[int]] = {}
+        for e, (a, b) in enumerate(g.edges()):
+            classes.setdefault((a, b) if a <= b else (b, a), []).append(e)
+        self.endpoint = g.endpoint
+        self.classes = sorted(classes.items())
+        self.matchings = {
+            pair: list(itertools.permutations(edges)) for pair, edges in self.classes
+        }
+        loops = [e for e in range(g.edge_count) if g.is_loop(e)]
+        self.loop_flips = [
+            [e for e, flip in zip(loops, flips) if flip]
+            for flips in itertools.product((0, 1), repeat=len(loops))
+        ]
+
+    def extend(self, vperm: tuple[int, ...]) -> list[Automorphism]:
+        """All automorphisms over a multiplicity-preserving vertex bijection,
+        sorted by half-edge permutation."""
+        endpoint = self.endpoint
+        choice_lists = []
+        for (a, b), _ in self.classes:
+            qa, qb = vperm[a], vperm[b]
+            choice_lists.append(self.matchings[(qa, qb) if qa <= qb else (qb, qa)])
+        block: list[tuple[int, ...]] = []
+        for assignment in itertools.product(*choice_lists):
+            base = [0] * len(endpoint)
+            for (_, edges), targets in zip(self.classes, assignment):
+                for e, f in zip(edges, targets):
+                    # a loop takes the un-flipped matching here; flips come below
+                    if endpoint[2 * f] == vperm[endpoint[2 * e]]:
+                        base[2 * e] = 2 * f
+                        base[2 * e + 1] = 2 * f + 1
+                    else:
+                        base[2 * e] = 2 * f + 1
+                        base[2 * e + 1] = 2 * f
+            for flipped in self.loop_flips:
+                hep = base.copy()
+                for e in flipped:
                     hep[2 * e], hep[2 * e + 1] = hep[2 * e + 1], hep[2 * e]
-            out.append(Automorphism(tuple(hep), vperm))
-    return out
+                block.append(tuple(hep))
+        block.sort()
+        return [Automorphism(hep, vperm) for hep in block]
 
 
 def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
@@ -178,32 +180,51 @@ def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
 
     Backtracks over vertex images, pruning on the (degree, loop count)
     invariant and on pairwise edge multiplicities; every surviving vertex
-    bijection is extended over all compatible half-edge matchings.
+    bijection is extended over all compatible half-edge matchings. Vertex
+    bijections come out in lexicographic order, so sorting each one's
+    extensions orders the whole group.
     """
     n = g.vertex_count
     invariant = [(g.degree(v), g.loop_count(v)) for v in range(n)]
-    image = [-1] * n
-    used = [False] * n
+    # neighbours[v][u]: multiplicity of the edge {v, u}, loops left out
+    neighbours: list[dict[int, int]] = [{} for _ in range(n)]
+    for (a, b), m in g.edge_multiplicities.items():
+        if a != b:
+            neighbours[a][b] = neighbours[b][a] = m
+    extensions = _HalfEdgeExtensions(g)
     found: list[Automorphism] = []
-
-    def place(v: int) -> None:
+    image = [-1] * n
+    preimage = [-1] * n
+    v = 0
+    while v >= 0:
         if v == n:
-            found.extend(_half_edge_extensions(g, tuple(image)))
-            return
-        inv_v = invariant[v]
-        for w in range(n):
-            if used[w] or invariant[w] != inv_v:
-                continue
-            if any(
-                g.multiplicity(v, u) != g.multiplicity(w, image[u]) for u in range(v)
-            ):
-                continue
-            image[v] = w
-            used[w] = True
-            place(v + 1)
+            found.extend(extensions.extend(tuple(image)))
+            v -= 1
+            continue
+        w = image[v]
+        if w >= 0:
+            preimage[w] = -1
             image[v] = -1
-            used[w] = False
-
-    place(0)
-    found.sort(key=lambda a: (a.vertex_perm, a.half_edge_perm))
+        inv_v, nbrs_v = invariant[v], neighbours[v]
+        for w in range(w + 1, n):
+            if preimage[w] >= 0 or invariant[w] != inv_v:
+                continue
+            # mult(v, u) == mult(w, image[u]) for every placed u (all u < v),
+            # checked from both ends so that only edges are visited
+            nbrs_w = neighbours[w]
+            for u, m in nbrs_v.items():
+                if u < v and nbrs_w.get(image[u]) != m:
+                    break
+            else:
+                for x, m in nbrs_w.items():
+                    u = preimage[x]
+                    if u >= 0 and nbrs_v.get(u) != m:
+                        break
+                else:
+                    image[v] = w
+                    preimage[w] = v
+                    v += 1
+                    break
+        else:
+            v -= 1
     return found

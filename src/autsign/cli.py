@@ -29,9 +29,8 @@ from .multigraph import (
     spanning_forest,
 )
 from .signs import (
-    chain_determinant_check,
     combinatorial_sign,
-    homological_sign,
+    compare_signs,
     homological_sign_extended,
     verify_graph,
 )
@@ -64,24 +63,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
         f"components: {g.components.component_count}  cycle_rank: {g.cycle_rank}"
     )
     print(f"automorphisms: {len(auts)}")
+    # Without --extended the graph is connected, where the component sign is +1.
     for i, a in enumerate(auts):
         sep = induced_signed_edge_perm(g, o, a)
-        comb = combinatorial_sign(g, o, a)
-        if args.extended:
-            hom = homological_sign_extended(g, o, basis, a)
-        else:
-            hom = homological_sign(g, o, basis, a)
+        r = compare_signs(g, o, basis, a, sep, args.diagnostics)
         eps = "".join("+" if s > 0 else "-" for s in sep.edge_sign)
         line = (
             f"[{i}] vperm={cycle_notation(a.vertex_perm)}"
             f" v_sign={_fmt_sign(permutation_sign(a.vertex_perm))}"
             f" e_sign={_fmt_sign(permutation_sign(sep.edge_perm))}"
             f" eps={eps or '(none)'}"
-            f" hom={_fmt_sign(hom)} comb={_fmt_sign(comb)}"
-            f" agree={'yes' if hom == comb else 'NO'}"
+            f" hom={_fmt_sign(r.homological)} comb={_fmt_sign(r.combinatorial)}"
+            f" agree={'yes' if r.agree else 'NO'}"
         )
-        if args.diagnostics:
-            f = chain_determinant_check(g, o, basis, a)
+        if r.factors is not None:
+            f = r.factors
             line += (
                 f" det_edges={_fmt_sign(f.edge_space_det)}"
                 f" det_vertices={_fmt_sign(f.vertex_space_det)}"

@@ -5,10 +5,12 @@ No floating point anywhere; Python ints make every determinant exact.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .automorphism import Automorphism, induced_signed_edge_perm
+from .automorphism import Automorphism, SignedEdgePermutation, induced_signed_edge_perm
 from .multigraph import Multigraph, Orientation, SpanningForest
 
 
@@ -76,11 +78,25 @@ class CycleBasis:
     ``non_tree_edges[i]``, 0 on every other non-tree edge, and tree
     coefficients in {-1, 0, +1}. The coordinates of any cycle in this basis
     are just its non-tree-edge coefficients.
+
     """
 
     forest: SpanningForest
     non_tree_edges: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per cycle, its nonzero ``(edge, coefficient)`` pairs."""
+        return tuple(tuple((e, c) for e, c in enumerate(z) if c) for z in self.cycles)
+
+    @cached_property
+    def row_of_edge(self) -> tuple[int, ...]:
+        """Per edge, its position in ``non_tree_edges``; -1 for tree edges."""
+        row = [-1] * (len(self.cycles[0]) if self.cycles else 0)
+        for i, e in enumerate(self.non_tree_edges):
+            row[e] = i
+        return tuple(row)
 
 
 def boundary_matrix(g: Multigraph, o: Orientation) -> IntMatrix:
@@ -148,37 +164,40 @@ def fundamental_cycles(g: Multigraph, o: Orientation, forest: SpanningForest) ->
     return CycleBasis(forest, non_tree, tuple(cycles))
 
 
-def induced_cycle_matrix(
-    g: Multigraph, o: Orientation, basis: CycleBasis, a: Automorphism
-) -> IntMatrix:
-    """Matrix of the signed edge action on the fundamental-cycle basis.
+def _cycle_matrix_rows(basis: CycleBasis, sep: SignedEdgePermutation) -> list[list[int]]:
+    """Rows of the matrix of a signed edge permutation on the cycle basis.
 
     Column j holds the coordinates of the image of basis cycle j, read off as
     the image's non-tree-edge coefficients.
     """
     dim = len(basis.cycles)
-    if any(len(z) != g.edge_count for z in basis.cycles):
+    if dim and len(basis.row_of_edge) != len(sep.edge_perm):
         raise ValueError("cycle basis does not match the graph")
-    sep = induced_signed_edge_perm(g, o, a)
-    flat = [0] * (dim * dim)
-    for j, z in enumerate(basis.cycles):
-        image = [0] * g.edge_count
-        for e, c in enumerate(z):
-            if c:
-                image[sep.edge_perm[e]] = c * sep.edge_sign[e]
-        for i, f in enumerate(basis.non_tree_edges):
-            flat[i * dim + j] = image[f]
-    return IntMatrix(dim, dim, tuple(flat))
+    row_of_edge, edge_perm, edge_sign = basis.row_of_edge, sep.edge_perm, sep.edge_sign
+    rows = [[0] * dim for _ in range(dim)]
+    for j, support in enumerate(basis.support):
+        for e, c in support:
+            i = row_of_edge[edge_perm[e]]
+            if i >= 0:
+                rows[i][j] = c * edge_sign[e]
+    return rows
 
 
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination; 0x0 gives 1."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
+def induced_cycle_matrix(
+    g: Multigraph, o: Orientation, basis: CycleBasis, a: Automorphism
+) -> IntMatrix:
+    """Matrix of the signed edge action on the fundamental-cycle basis."""
+    rows = _cycle_matrix_rows(basis, induced_signed_edge_perm(g, o, a))
+    dim = len(rows)
+    return IntMatrix(dim, dim, tuple(itertools.chain.from_iterable(rows)))
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Exact determinant of a square list of rows by fraction-free
+    elimination, overwriting the rows; 0x0 gives 1."""
+    n = len(a)
     if n == 0:
         return 1
-    a = m.to_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -198,6 +217,13 @@ def det_bareiss(m: IntMatrix) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def det_bareiss(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free elimination; 0x0 gives 1."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    return _bareiss(m.to_rows())
 
 
 def det_cofactor(m: IntMatrix) -> int:
@@ -232,7 +258,16 @@ def det_sign(m: IntMatrix, require_unimodular: bool = False) -> int:
     With ``require_unimodular`` (the cycle-space pathway), a determinant other
     than +-1 raises UnimodularityError instead of being reported.
     """
-    d = det_bareiss(m)
+    return _sign(det_bareiss(m), require_unimodular)
+
+
+def cycle_space_det_sign(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
+    """det_sign(..., require_unimodular=True) of the matrix of ``sep`` on the
+    cycle basis, eliminating on its rows without building an IntMatrix."""
+    return _sign(_bareiss(_cycle_matrix_rows(basis, sep)), require_unimodular=True)
+
+
+def _sign(d: int, require_unimodular: bool) -> int:
     if require_unimodular and d not in (1, -1):
         raise UnimodularityError(f"expected determinant +-1, got {d}")
     return (d > 0) - (d < 0)

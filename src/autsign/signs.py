@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .automorphism import (
     Automorphism,
+    SignedEdgePermutation,
     enumerate_automorphisms,
     induced_signed_edge_perm,
     permutation_sign,
@@ -21,8 +22,8 @@ from .automorphism import (
 from .homology import (
     CycleBasis,
     IntMatrix,
+    cycle_space_det_sign,
     det_bareiss,
-    det_sign,
     fundamental_cycles,
     induced_cycle_matrix,
 )
@@ -62,24 +63,31 @@ class SignComparison:
     combinatorial: int
     agree: bool
     cycle_rank: int
+    automorphism: Automorphism
     factors: DeterminantFactors | None = None
 
 
-def combinatorial_sign(g: Multigraph, o: Orientation, a: Automorphism) -> int:
-    """sign(vertex permutation) times the product of per-edge arrow signs."""
-    sep = induced_signed_edge_perm(g, o, a)
+def _combinatorial(a: Automorphism, sep: SignedEdgePermutation) -> int:
     sign = permutation_sign(a.vertex_perm)
     for s in sep.edge_sign:
         sign *= s
     return sign
 
 
-def _homological_sign(
-    g: Multigraph, o: Orientation, basis: CycleBasis, a: Automorphism
+def _homological(
+    g: Multigraph, basis: CycleBasis, a: Automorphism, sep: SignedEdgePermutation
 ) -> int:
-    sep = induced_signed_edge_perm(g, o, a)
-    matrix = induced_cycle_matrix(g, o, basis, a)
-    return permutation_sign(sep.edge_perm) * det_sign(matrix, require_unimodular=True)
+    """sign(edge permutation) * det sign on the cycle space * component parity."""
+    return (
+        permutation_sign(sep.edge_perm)
+        * cycle_space_det_sign(basis, sep)
+        * component_permutation_sign(g, a)
+    )
+
+
+def combinatorial_sign(g: Multigraph, o: Orientation, a: Automorphism) -> int:
+    """sign(vertex permutation) times the product of per-edge arrow signs."""
+    return _combinatorial(a, induced_signed_edge_perm(g, o, a))
 
 
 def homological_sign(
@@ -93,12 +101,14 @@ def homological_sign(
         raise ValueError(
             "homological_sign needs a connected graph; use homological_sign_extended"
         )
-    return _homological_sign(g, o, basis, a)
+    return homological_sign_extended(g, o, basis, a)
 
 
 def component_permutation_sign(g: Multigraph, a: Automorphism) -> int:
     """Parity of the permutation the automorphism induces on components."""
     parts = g.components
+    if parts.component_count == 1:
+        return 1
     perm = [0] * parts.component_count
     for v in range(g.vertex_count):
         perm[parts.component_of[v]] = parts.component_of[a.vertex_perm[v]]
@@ -112,7 +122,7 @@ def homological_sign_extended(
 
     Coincides with homological_sign on connected graphs.
     """
-    return _homological_sign(g, o, basis, a) * component_permutation_sign(g, a)
+    return _homological(g, basis, a, induced_signed_edge_perm(g, o, a))
 
 
 def chain_determinant_check(
@@ -142,6 +152,26 @@ def chain_determinant_check(
     )
 
 
+def compare_signs(
+    g: Multigraph,
+    o: Orientation,
+    basis: CycleBasis,
+    a: Automorphism,
+    sep: SignedEdgePermutation,
+    diagnostics: bool = False,
+) -> SignComparison:
+    """Both routes on one automorphism, given its signed edge permutation.
+
+    The combinatorial route reads only ``a.vertex_perm`` and the arrow signs;
+    the homological route takes the exact determinant of the explicit
+    cycle-space matrix. Neither sees the other's result.
+    """
+    comb = _combinatorial(a, sep)
+    hom = _homological(g, basis, a, sep)
+    factors = chain_determinant_check(g, o, basis, a) if diagnostics else None
+    return SignComparison(hom, comb, hom == comb, len(basis.cycles), a, factors)
+
+
 def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignComparison]:
     """Evaluate both signs on every automorphism, in enumeration order.
 
@@ -151,14 +181,10 @@ def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignCompariso
     """
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
-    rank = len(basis.cycles)
-    results: list[SignComparison] = []
-    for a in enumerate_automorphisms(g):
-        comb = combinatorial_sign(g, o, a)
-        hom = homological_sign_extended(g, o, basis, a)
-        factors = chain_determinant_check(g, o, basis, a) if diagnostics else None
-        results.append(SignComparison(hom, comb, hom == comb, rank, factors))
-    return results
+    return [
+        compare_signs(g, o, basis, a, induced_signed_edge_perm(g, o, a), diagnostics)
+        for a in enumerate_automorphisms(g)
+    ]
 
 
 def has_odd_automorphism(g: Multigraph) -> bool:

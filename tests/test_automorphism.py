@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +55,18 @@ def test_isolated_vertices_permute_freely():
 def test_two_disjoint_triangles_group_size():
     g = parse_graph("v 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\n")
     assert len(enumerate_automorphisms(g)) == 72  # (6 x 6) x 2 component swap
+
+
+def test_dropped_group_is_freed_without_the_cycle_collector():
+    star = parse_graph("v 9\n" + "".join(f"e 0 {i}\n" for i in range(1, 9)))
+    gc.disable()
+    try:
+        auts = enumerate_automorphisms(star)
+        ref = weakref.ref(auts[-1])
+        del auts
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_identity_first_and_lexicographic_order(golden):

@@ -57,6 +57,7 @@ def test_pairing_is_fixed_point_free_involution():
         ("e 0 1", "line 1"),
         ("v 2\nv 3\n", "line 2"),
         ("v -1\n", "negative"),
+        ("v 1000000000\ne 0 1\n", "above the limit"),
         ("v 2\ne 0 5\n", "out of range"),
         ("v 2\ne 0 -1\n", "out of range"),
         ("v 2\nq 1 2\n", "unknown directive"),

@@ -8,12 +8,16 @@ from autsign import (
     combinatorial_sign,
     component_permutation_sign,
     compose,
+    det_sign,
     enumerate_automorphisms,
     fundamental_cycles,
     has_odd_automorphism,
     homological_sign,
     homological_sign_extended,
+    induced_cycle_matrix,
+    induced_signed_edge_perm,
     parse_graph,
+    permutation_sign,
     random_orientation,
     reference_orientation,
     spanning_forest,
@@ -151,6 +155,27 @@ def test_verify_graph_diagnostics_optional(golden):
 @settings(max_examples=60, deadline=None)
 def test_both_routes_agree(g):
     assert all(r.agree for r in verify_graph(g))
+
+
+@given(multigraphs(max_vertices=4, max_edges=5))
+@settings(max_examples=60, deadline=None)
+def test_verify_graph_records_match_the_unfused_routes(g):
+    o = reference_orientation(g)
+    basis = fundamental_cycles(g, o, spanning_forest(g))
+    records = verify_graph(g)
+    assert [r.automorphism for r in records] == enumerate_automorphisms(g)
+    for r in records:
+        a = r.automorphism
+        assert r.combinatorial == combinatorial_sign(g, o, a)
+        assert r.homological == homological_sign_extended(g, o, basis, a)
+        sep = induced_signed_edge_perm(g, o, a)
+        matrix = induced_cycle_matrix(g, o, basis, a)
+        assert r.homological == (
+            permutation_sign(sep.edge_perm)
+            * det_sign(matrix, require_unimodular=True)
+            * component_permutation_sign(g, a)
+        )
+        assert r.cycle_rank == matrix.rows == g.cycle_rank
 
 
 HAS_ODD = {

@@ -1,15 +1,20 @@
 import dataclasses
+import itertools
 
 import pytest
 
+import autsign.signs
 from autsign import (
     Multigraph,
     SweepParams,
+    TheoremFailure,
     census_orientable,
+    enumerate_automorphisms,
     enumerate_multigraphs,
     serialize_compact,
     sweep_verify,
 )
+from autsign.sweep import _bounded_vectors
 
 
 def graphs_for(**kwargs):
@@ -50,6 +55,31 @@ def test_enumeration_order_is_lexicographic_on_multiplicity_vector():
         "v 2; e 0 0; e 0 1",
         "v 2; e 0 0; e 0 0",
     ]
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [
+        dict(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True),
+        dict(max_vertices=5, max_edges=4, max_multiplicity=1),
+    ],
+)
+def test_connected_only_keeps_the_connected_members_in_order(caps):
+    everything = graphs_for(**caps)
+    kept = graphs_for(**caps, connected_only=True)
+    assert kept == [g for g in everything if g.is_connected]
+    assert 0 < len(kept) < len(everything)
+
+
+@pytest.mark.parametrize(
+    "length, cap, budget",
+    [(0, 1, 0), (0, 3, 2), (1, 2, 0), (3, 1, 0), (3, 2, 2), (4, 3, 5), (5, 1, 3), (3, 3, 9)],
+)
+def test_bounded_vectors_are_the_lexicographic_filter_of_the_product(length, cap, budget):
+    expected = [
+        v for v in itertools.product(range(cap + 1), repeat=length) if sum(v) <= budget
+    ]
+    assert list(_bounded_vectors(length, cap, budget)) == expected
 
 
 def test_enumeration_respects_caps():
@@ -134,3 +164,30 @@ def test_census_order_matches_enumeration():
     params = SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2, allow_loops=True)
     census_graphs = [g for g, _ in census_orientable(params)]
     assert census_graphs == list(enumerate_multigraphs(params))
+
+
+def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch):
+    real = autsign.signs._homological
+
+    def wrong_on_swaps(g, basis, a, sep):
+        sign = real(g, basis, a, sep)
+        return -sign if a.vertex_perm == (1, 0) else sign
+
+    monkeypatch.setattr(autsign.signs, "_homological", wrong_on_swaps)
+    report = sweep_verify(SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2))
+    assert report.graphs_checked == 4
+    expected = []
+    for text, g in [
+        ("v 2", Multigraph(2, ())),
+        ("v 2; e 0 1", Multigraph.from_edges(2, [(0, 1)])),
+        ("v 2; e 0 1; e 0 1", Multigraph.from_edges(2, [(0, 1)] * 2)),
+    ]:
+        for a in enumerate_automorphisms(g):
+            if a.vertex_perm == (1, 0):
+                comb = autsign.combinatorial_sign(g, autsign.reference_orientation(g), a)
+                expected.append(
+                    TheoremFailure(text, a.vertex_perm, a.half_edge_perm, -comb, comb)
+                )
+    assert len(expected) == 4
+    assert report.failures == expected
+    assert not report.ok
