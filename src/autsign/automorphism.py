@@ -209,22 +209,13 @@ def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
         for w in range(w + 1, n):
             if preimage[w] >= 0 or invariant[w] != inv_v:
                 continue
-            # mult(v, u) == mult(w, image[u]) for every placed u (all u < v),
-            # checked from both ends so that only edges are visited
             nbrs_w = neighbours[w]
-            for u, m in nbrs_v.items():
-                if u < v and nbrs_w.get(image[u]) != m:
-                    break
-            else:
-                for x, m in nbrs_w.items():
-                    u = preimage[x]
-                    if u >= 0 and nbrs_v.get(u) != m:
-                        break
-                else:
-                    image[v] = w
-                    preimage[w] = v
-                    v += 1
-                    break
+            if any(nbrs_v.get(u, 0) != nbrs_w.get(image[u], 0) for u in range(v)):
+                continue
+            image[v] = w
+            preimage[w] = v
+            v += 1
+            break
         else:
             v -= 1
     return found

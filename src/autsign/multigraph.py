@@ -14,11 +14,10 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
-# The largest vertex count parse_graph accepts. The automorphism search is at
-# least quadratic in the vertex count (a 4000-vertex path takes about 20 s on
-# a 2-vCPU VM, four times a 2000-vertex one), so no graph this size can have
-# its group listed; the cap turns absurd declarations into a clear error
-# before any per-vertex table is allocated.
+# The largest vertex count parse_graph accepts. The automorphism search
+# compares each placed vertex with every earlier one, so no graph this size
+# can have its group listed; the cap turns absurd declarations into a clear
+# error before any per-vertex table is allocated.
 MAX_VERTICES = 100_000
 
 

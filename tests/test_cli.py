@@ -65,14 +65,6 @@ def test_compute_parse_error_has_line_number(graph_file, capsys):
     assert "line 2" in captured.err
 
 
-def test_compute_rejects_an_absurd_vertex_count(graph_file, capsys):
-    rc = main(["compute", graph_file("v 1000000000\ne 0 1\n")])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err.startswith("error: line 1: vertex count")
-    assert captured.out == ""
-
-
 def test_compute_missing_file(capsys):
     rc = main(["compute", "/nonexistent/graph.txt"])
     assert rc == 2
