@@ -10,6 +10,7 @@ they admit an odd (sign -1) automorphism.
 
 from .automorphism import (
     Automorphism,
+    GroupTooLargeError,
     SignedEdgePermutation,
     check_automorphism,
     compose,
@@ -72,6 +73,7 @@ __all__ = [
     "CycleBasis",
     "DeterminantFactors",
     "GraphFormatError",
+    "GroupTooLargeError",
     "IntMatrix",
     "Multigraph",
     "Orientation",

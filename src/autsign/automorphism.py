@@ -8,9 +8,28 @@ per-edge orientation signs are derived on demand.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .multigraph import Multigraph, Orientation
+
+# The most automorphisms enumerate_automorphisms lists before it gives up. The
+# list is held in memory: reaching the cap on 12 isolated vertices (12!
+# automorphisms) takes about 3 s and 130 MB, well under a 1 GiB address-space
+# limit. Every group the sweeps and the benchmark pin is far below it (the
+# largest, one vertex with 6 loops, has 46080 elements).
+MAX_AUTOMORPHISMS = 500_000
+
+
+class GroupTooLargeError(ValueError):
+    """The automorphism group has more elements than MAX_AUTOMORPHISMS."""
+
+
+def _too_large() -> GroupTooLargeError:
+    return GroupTooLargeError(
+        f"the automorphism group has more than {MAX_AUTOMORPHISMS} elements, "
+        "too many to list"
+    )
 
 
 @dataclass(frozen=True)
@@ -136,10 +155,17 @@ class _HalfEdgeExtensions:
             classes.setdefault((a, b) if a <= b else (b, a), []).append(e)
         self.endpoint = g.endpoint
         self.classes = sorted(classes.items())
+        loops = [e for e in range(g.edge_count) if g.is_loop(e)]
+        # Every vertex bijection has this many extensions and the identity is
+        # one of them, so a block above the cap puts the group above it.
+        block = 2 ** len(loops)
+        for _, edges in self.classes:
+            block *= math.factorial(len(edges))
+        if block > MAX_AUTOMORPHISMS:
+            raise _too_large()
         self.matchings = {
             pair: list(itertools.permutations(edges)) for pair, edges in self.classes
         }
-        loops = [e for e in range(g.edge_count) if g.is_loop(e)]
         self.loop_flips = [
             [e for e, flip in zip(loops, flips) if flip]
             for flips in itertools.product((0, 1), repeat=len(loops))
@@ -182,7 +208,8 @@ def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
     invariant and on pairwise edge multiplicities; every surviving vertex
     bijection is extended over all compatible half-edge matchings. Vertex
     bijections come out in lexicographic order, so sorting each one's
-    extensions orders the whole group.
+    extensions orders the whole group. Raises GroupTooLargeError as soon as
+    the group is known to have more than MAX_AUTOMORPHISMS elements.
     """
     n = g.vertex_count
     invariant = [(g.degree(v), g.loop_count(v)) for v in range(n)]
@@ -199,6 +226,8 @@ def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
     while v >= 0:
         if v == n:
             found.extend(extensions.extend(tuple(image)))
+            if len(found) > MAX_AUTOMORPHISMS:
+                raise _too_large()
             v -= 1
             continue
         w = image[v]

@@ -13,6 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .automorphism import (
+    GroupTooLargeError,
     cycle_notation,
     enumerate_automorphisms,
     induced_signed_edge_perm,
@@ -254,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GroupTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

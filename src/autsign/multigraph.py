@@ -19,6 +19,10 @@ from typing import Iterable, Iterator
 # can have its group listed; the cap turns absurd declarations into a clear
 # error before any per-vertex table is allocated.
 MAX_VERTICES = 100_000
+# The largest edge count parse_graph accepts. Every listed automorphism holds
+# a half-edge permutation with two entries per edge (1.6 MB at the cap), and
+# the spanning forest scans all edges once per tree edge.
+MAX_EDGES = 100_000
 
 
 class GraphFormatError(ValueError):
@@ -118,9 +122,6 @@ class Multigraph:
         for h, v in enumerate(self.endpoint):
             at[v].append(h)
         return tuple(tuple(hs) for hs in at)
-
-    def half_edges_at(self, v: int) -> tuple[int, ...]:
-        return self._half_edges_at[v]
 
     def degree(self, v: int) -> int:
         """Number of half-edges at v; a loop contributes 2."""
@@ -229,9 +230,9 @@ def parse_graph(text: str) -> Multigraph:
 
     ``v <n>`` must come first, exactly once, with 0 <= n <= MAX_VERTICES;
     each ``e <a> <b>`` adds one edge (a == b makes a loop, repeats make
-    parallel edges). ``#`` starts a comment line, blank lines are skipped, and
-    ``;`` separates directives within a line so one-line serializations parse
-    too.
+    parallel edges), at most MAX_EDGES in all. ``#`` starts a comment line,
+    blank lines are skipped, and ``;`` separates directives within a line so
+    one-line serializations parse too.
     """
     vertex_count: int | None = None
     edges: list[tuple[int, int]] = []
@@ -268,6 +269,8 @@ def parse_graph(text: str) -> Multigraph:
                     raise GraphFormatError(
                         f"line {lineno}: vertex index out of range 0..{vertex_count - 1}"
                     )
+                if len(edges) == MAX_EDGES:
+                    raise GraphFormatError(f"line {lineno}: more than {MAX_EDGES} edges")
                 edges.append((a, b))
             else:
                 raise GraphFormatError(f"line {lineno}: unknown directive {fields[0]!r}")

@@ -4,13 +4,19 @@ odd-automorphism census.
 Enumeration is labeled (no isomorphism rejection) and streamed: graphs come
 out one at a time, ordered by vertex count and then lexicographically by the
 upper-triangular multiplicity vector, so runs are reproducible bit for bit.
+
+``sweep_verify`` cuts the enumeration into chunks of CHUNK_GRAPHS graphs and
+deals them round-robin to one forked worker per available CPU; the parent
+merges the per-chunk records in chunk order, so the report does not depend on
+the worker count.
 """
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import BinaryIO, Iterator, NoReturn
 
 from .multigraph import Multigraph, serialize_compact
 from .signs import has_odd_automorphism, verify_graph
@@ -94,15 +100,24 @@ def _spans_all(vertex_count: int, slot_masks: list[int], vector: tuple[int, ...]
     return True
 
 
-def enumerate_multigraphs(params: SweepParams) -> Iterator[Multigraph]:
-    """All labeled multigraphs within the caps, streamed deterministically.
+# Graphs per chunk of sweep_verify: small enough that the workers' shares of
+# the connected sweep (197 chunks) stay even, large enough that a chunk's
+# record is a small part of its work.
+CHUNK_GRAPHS = 64
+
+Slots = list[tuple[int, int]]
+# graphs, automorphisms, odd graphs and failures of one chunk
+ChunkRecord = tuple[int, int, int, list[TheoremFailure]]
+
+
+def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, ...]]]:
+    """(vertex count, slots, multiplicity vector) of every graph within the caps.
 
     For each vertex count n = 1..max_vertices, the vertex-pair slots are the
     upper triangle in row-major order (diagonal slots are loop counts, present
     only when loops are allowed); each slot multiplicity runs 0..cap and the
     total edge budget is enforced during generation. With ``connected_only``
-    connectivity is read off the multiplicity vector, so only the graphs kept
-    are built.
+    connectivity is read off the vector, before any graph is built.
     """
     for n in range(1, params.max_vertices + 1):
         slots = [
@@ -115,37 +130,159 @@ def enumerate_multigraphs(params: SweepParams) -> Iterator[Multigraph]:
         for vector in _bounded_vectors(len(slots), params.max_multiplicity, params.max_edges):
             if params.connected_only and not _spans_all(n, slot_masks, vector):
                 continue
-            edges: list[tuple[int, int]] = []
-            for pair, m in zip(slots, vector):
-                edges.extend([pair] * m)
-            yield Multigraph.from_edges(n, edges)
+            yield n, slots, vector
+
+
+def _build(n: int, slots: Slots, vector: tuple[int, ...]) -> Multigraph:
+    edges: list[tuple[int, int]] = []
+    for pair, m in zip(slots, vector):
+        edges.extend([pair] * m)
+    return Multigraph.from_edges(n, edges)
+
+
+def enumerate_multigraphs(params: SweepParams) -> Iterator[Multigraph]:
+    """All labeled multigraphs within the caps, streamed deterministically."""
+    for n, slots, vector in _kept_vectors(params):
+        yield _build(n, slots, vector)
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _share_records(
+    params: SweepParams, share: int, shares: int, diagnostics: bool
+) -> Iterator[ChunkRecord]:
+    """Verify the chunks whose index is ``share`` modulo ``shares``; one record
+    per chunk. Only the graphs of those chunks are built."""
+    vectors = _kept_vectors(params)
+    for index in itertools.count():
+        chunk = list(itertools.islice(vectors, CHUNK_GRAPHS))
+        if not chunk:
+            return
+        if index % shares != share:
+            continue
+        automorphisms = odd = 0
+        failures: list[TheoremFailure] = []
+        for n, slots, vector in chunk:
+            g = _build(n, slots, vector)
+            results = verify_graph(g, diagnostics=diagnostics)
+            automorphisms += len(results)
+            odd += any(r.combinatorial == -1 for r in results)
+            failures.extend(
+                TheoremFailure(
+                    serialize_compact(g),
+                    r.automorphism.vertex_perm,
+                    r.automorphism.half_edge_perm,
+                    r.homological,
+                    r.combinatorial,
+                )
+                for r in results
+                if not r.agree
+            )
+        yield len(chunk), automorphisms, odd, failures
+
+
+def _work(
+    out: BinaryIO, read_ends: list[BinaryIO], params: SweepParams, share: int, shares: int,
+    diagnostics: bool,
+) -> NoReturn:
+    """Body of a forked worker: close the inherited read ends, pickle each
+    record of its share into ``out``, or the exception that stopped it, then
+    leave without returning to the caller's frames."""
+    import pickle
+
+    code = 1
+    try:
+        for reader in read_ends:
+            reader.close()
+        try:
+            for record in _share_records(params, share, shares, diagnostics):
+                pickle.dump(record, out, pickle.HIGHEST_PROTOCOL)
+            failed = False
+        except Exception as exc:
+            failed = True
+            try:
+                data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            out.write(data)
+        out.flush()
+        code = 1 if failed else 0
+    finally:
+        os._exit(code)
+
+
+def _forked_records(params: SweepParams, workers: int, diagnostics: bool) -> list[ChunkRecord]:
+    """Run the shares in forked workers and collect their records in chunk
+    order; every worker is reaped, also when one fails."""
+    import pickle
+
+    pids: list[int] = []
+    readers: list[BinaryIO] = []
+    records: list[ChunkRecord] = []
+    try:
+        for share in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    _work(writer, readers, params, share, workers, diagnostics)
+            pids.append(pid)
+        # Chunk i comes from worker i modulo the worker count, so the first
+        # end of stream is the end of the sweep.
+        for reader in itertools.cycle(readers):
+            try:
+                record = pickle.load(reader)
+            except EOFError:
+                break
+            if isinstance(record, BaseException):
+                raise record
+            records.append(record)
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # Closed read ends also stop a worker blocked on a full pipe.
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise RuntimeError(
+            f"a verify worker stopped before the end of its share (exit statuses {codes})"
+        )
+    return records
 
 
 def sweep_verify(params: SweepParams, diagnostics: bool = False) -> VerificationReport:
     """Run verify_graph over the whole enumeration and aggregate.
 
+    The chunks are shared among one forked worker per available CPU; with one
+    CPU, or without ``os.fork``, the single share runs in this process.
     Disagreements are collected verbatim, never raised: a failing sweep should
-    show all its counterexamples.
+    show all its counterexamples. An exception raised while verifying a graph
+    reaches the caller with its type and message.
     """
     started = time.perf_counter()
+    workers = _worker_count() if hasattr(os, "fork") else 1
+    if workers > 1:
+        records = _forked_records(params, workers, diagnostics)
+    else:
+        records = list(_share_records(params, 0, 1, diagnostics))
     report = VerificationReport()
-    for g in enumerate_multigraphs(params):
-        results = verify_graph(g, diagnostics=diagnostics)
-        report.graphs_checked += 1
-        report.automorphisms_checked += len(results)
-        if any(r.combinatorial == -1 for r in results):
-            report.odd_graph_count += 1
-        report.failures.extend(
-            TheoremFailure(
-                serialize_compact(g),
-                r.automorphism.vertex_perm,
-                r.automorphism.half_edge_perm,
-                r.homological,
-                r.combinatorial,
-            )
-            for r in results
-            if not r.agree
-        )
+    for graphs, automorphisms, odd, failures in records:
+        report.graphs_checked += graphs
+        report.automorphisms_checked += automorphisms
+        report.odd_graph_count += odd
+        report.failures.extend(failures)
     report.elapsed_seconds = time.perf_counter() - started
     return report
 

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import autsign.automorphism
+import autsign.sweep
 from autsign.cli import main
 from conftest import GOLDEN_TEXTS
 
@@ -63,6 +65,40 @@ def test_compute_parse_error_has_line_number(graph_file, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "line 2" in captured.err
+
+
+def test_compute_stops_at_the_group_cap_under_a_memory_limit(graph_file):
+    # 12 isolated vertices have 12! automorphisms; without the cap, listing
+    # them ran out of this address space with a MemoryError traceback.
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "autsign", "compute", "--extended", graph_file("v 12\n")],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the automorphism group has more than")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, lines_before", [("verify", 0), ("census", 5)])
+def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_before):
+    # verify meets the error in a worker and re-raises it in the parent
+    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
+    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 1000)
+    # one vertex with 5 loops has 5! * 2**5 = 3840 automorphisms
+    rc = main([command, "--max-vertices", "1", "--max-edges", "5",
+               "--max-multiplicity", "5", "--loops"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert len(captured.out.splitlines()) == lines_before
+    assert captured.err == "error: the automorphism group has more than 1000 elements, too many to list\n"
 
 
 def test_compute_missing_file(capsys):

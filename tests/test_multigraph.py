@@ -13,6 +13,7 @@ from autsign import (
     serialize_compact,
     spanning_forest,
 )
+from autsign.multigraph import MAX_EDGES
 from conftest import GOLDEN_TEXTS, multigraphs
 
 
@@ -58,6 +59,11 @@ def test_pairing_is_fixed_point_free_involution():
         ("v 2\nv 3\n", "line 2"),
         ("v -1\n", "negative"),
         ("v 1000000000\ne 0 1\n", "above the limit"),
+        pytest.param(
+            "v 1\n" + "e 0 0\n" * (MAX_EDGES + 1),
+            f"line {MAX_EDGES + 2}: more than {MAX_EDGES} edges",
+            id="edge-cap",
+        ),
         ("v 2\ne 0 5\n", "out of range"),
         ("v 2\ne 0 -1\n", "out of range"),
         ("v 2\nq 1 2\n", "unknown directive"),

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import os
 
 import pytest
 
 import autsign.signs
+import autsign.sweep
 from autsign import (
     Multigraph,
     SweepParams,
@@ -14,7 +16,7 @@ from autsign import (
     serialize_compact,
     sweep_verify,
 )
-from autsign.sweep import _bounded_vectors
+from autsign.sweep import CHUNK_GRAPHS, _bounded_vectors
 
 
 def graphs_for(**kwargs):
@@ -166,14 +168,25 @@ def test_census_order_matches_enumeration():
     assert census_graphs == list(enumerate_multigraphs(params))
 
 
-def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch):
+@pytest.fixture
+def swaps_disagree(monkeypatch):
+    """Flip the homological sign of every automorphism that swaps vertices 0
+    and 1, so that the sweeps report disagreements."""
     real = autsign.signs._homological
 
     def wrong_on_swaps(g, basis, a, sep):
         sign = real(g, basis, a, sep)
-        return -sign if a.vertex_perm == (1, 0) else sign
+        return -sign if a.vertex_perm[:2] == (1, 0) else sign
 
     monkeypatch.setattr(autsign.signs, "_homological", wrong_on_swaps)
+
+
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
+
+
+def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch, swaps_disagree):
+    use_workers(monkeypatch, 2)
     report = sweep_verify(SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2))
     assert report.graphs_checked == 4
     expected = []
@@ -191,3 +204,56 @@ def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch):
     assert len(expected) == 4
     assert report.failures == expected
     assert not report.ok
+
+
+def test_report_does_not_depend_on_the_worker_count(monkeypatch, swaps_disagree):
+    params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=1, allow_loops=True)
+    chunks = -(-len(list(enumerate_multigraphs(params))) // CHUNK_GRAPHS)
+    assert chunks > 2 * 3
+    reports = []
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        reports.append(dataclasses.replace(sweep_verify(params), elapsed_seconds=0.0))
+    assert len({f.graph for f in reports[0].failures}) > CHUNK_GRAPHS
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _raise_lookup_error():
+    raise LookupError("no signs for this graph")
+
+
+def _raise_unpicklable_error():
+    exc = LookupError("no signs for this graph")
+    exc.callback = lambda: None
+    raise exc
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+@pytest.mark.parametrize(
+    "fail, error, message",
+    [
+        (_raise_lookup_error, LookupError, "^no signs for this graph$"),
+        (_raise_unpicklable_error, RuntimeError, "^LookupError: no signs for this graph$"),
+        (lambda: os._exit(3), RuntimeError, r"exit statuses \[.*\b3\b.*\]"),
+    ],
+    ids=["error", "unpicklable-error", "worker-exit"],
+)
+def test_a_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
+    monkeypatch, fail, error, message
+):
+    params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
+    # In the fourth chunk, while the other workers are still busy.
+    target = list(enumerate_multigraphs(params))[3 * CHUNK_GRAPHS + 5]
+    real = autsign.sweep.verify_graph
+
+    def verify_or_fail(g, diagnostics=False):
+        if g == target:
+            fail()
+        return real(g, diagnostics=diagnostics)
+
+    monkeypatch.setattr(autsign.sweep, "verify_graph", verify_or_fail)
+    use_workers(monkeypatch, 3)
+    with pytest.raises(error, match=message):
+        sweep_verify(params)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
