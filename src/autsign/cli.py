@@ -16,8 +16,6 @@ from .automorphism import (
     GroupTooLargeError,
     cycle_notation,
     enumerate_automorphisms,
-    induced_signed_edge_perm,
-    permutation_sign,
 )
 from .homology import IntMatrix, det_bareiss, det_cofactor, fundamental_cycles
 from .multigraph import (
@@ -31,7 +29,7 @@ from .multigraph import (
 )
 from .signs import (
     combinatorial_sign,
-    compare_signs,
+    comparisons,
     homological_sign_extended,
     verify_graph,
 )
@@ -45,7 +43,7 @@ def _fmt_sign(s: int) -> str:
 def cmd_compute(args: argparse.Namespace) -> int:
     try:
         g = parse_graph(Path(args.graph_file).read_text(encoding="utf-8"))
-    except (OSError, GraphFormatError) as exc:
+    except (OSError, UnicodeDecodeError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not g.is_connected and not args.extended:
@@ -55,8 +53,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    o = reference_orientation(g)
-    basis = fundamental_cycles(g, o, spanning_forest(g))
     auts = enumerate_automorphisms(g)
     print(f"graph: {serialize_compact(g)}")
     print(
@@ -65,14 +61,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
     )
     print(f"automorphisms: {len(auts)}")
     # Without --extended the graph is connected, where the component sign is +1.
-    for i, a in enumerate(auts):
-        sep = induced_signed_edge_perm(g, o, a)
-        r = compare_signs(g, o, basis, a, sep, args.diagnostics)
-        eps = "".join("+" if s > 0 else "-" for s in sep.edge_sign)
+    for i, r in enumerate(comparisons(g, auts, args.diagnostics)):
+        eps = "".join("+" if s > 0 else "-" for s in r.signed_edge_perm.edge_sign)
         line = (
-            f"[{i}] vperm={cycle_notation(a.vertex_perm)}"
-            f" v_sign={_fmt_sign(permutation_sign(a.vertex_perm))}"
-            f" e_sign={_fmt_sign(permutation_sign(sep.edge_perm))}"
+            f"[{i}] vperm={cycle_notation(r.automorphism.vertex_perm)}"
+            f" v_sign={_fmt_sign(r.vertex_parity)}"
+            f" e_sign={_fmt_sign(r.edge_parity)}"
             f" eps={eps or '(none)'}"
             f" hom={_fmt_sign(r.homological)} comb={_fmt_sign(r.combinatorial)}"
             f" agree={'yes' if r.agree else 'NO'}"
@@ -89,18 +83,25 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _params_from_args(args: argparse.Namespace) -> SweepParams:
-    return SweepParams(
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        max_multiplicity=args.max_multiplicity,
-        allow_loops=args.loops,
-        connected_only=args.connected_only,
-    )
+def _params_from_args(args: argparse.Namespace) -> SweepParams | None:
+    """The sweep caps, or None after reporting a cap out of range."""
+    try:
+        return SweepParams(
+            max_vertices=args.max_vertices,
+            max_edges=args.max_edges,
+            max_multiplicity=args.max_multiplicity,
+            allow_loops=args.loops,
+            connected_only=args.connected_only,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    if params is None:
+        return 2
     report = sweep_verify(params)
     if args.json:
         doc = {
@@ -129,6 +130,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    if params is None:
+        return 2
     total = odd = 0
     for g, is_odd in census_orientable(params):
         print(f"{serialize_compact(g)}\t{'odd' if is_odd else 'even'}")
@@ -169,7 +172,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
             all(r.factors is not None and r.factors.consistent for r in results),
         )
         o = reference_orientation(g)
-        auts = enumerate_automorphisms(g)
+        auts = [r.automorphism for r in results]
         roots_ok = True
         for root in range(g.vertex_count):
             basis = fundamental_cycles(g, o, spanning_forest(g, root=root))

@@ -5,7 +5,6 @@ No floating point anywhere; Python ints make every determinant exact.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -34,11 +33,8 @@ class IntMatrix:
             raise ValueError("entry count does not match the shape")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        if rows:
-            cols = len(rows[0])
-        elif cols is None:
-            cols = 0
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
+        cols = len(rows[0]) if rows else 0
         flat: list[int] = []
         for r in rows:
             if len(r) != cols:
@@ -81,7 +77,6 @@ class CycleBasis:
 
     """
 
-    forest: SpanningForest
     non_tree_edges: tuple[int, ...]
     cycles: tuple[tuple[int, ...], ...]
 
@@ -161,7 +156,7 @@ def fundamental_cycles(g: Multigraph, o: Orientation, forest: SpanningForest) ->
         for u, f, _w in _tree_path(adjacency, head_v, tail_v):
             coeff[f] = 1 if g.endpoint[o.tail[f]] == u else -1
         cycles.append(tuple(coeff))
-    return CycleBasis(forest, non_tree, tuple(cycles))
+    return CycleBasis(non_tree, tuple(cycles))
 
 
 def _cycle_matrix_rows(basis: CycleBasis, sep: SignedEdgePermutation) -> list[list[int]]:
@@ -187,9 +182,7 @@ def induced_cycle_matrix(
     g: Multigraph, o: Orientation, basis: CycleBasis, a: Automorphism
 ) -> IntMatrix:
     """Matrix of the signed edge action on the fundamental-cycle basis."""
-    rows = _cycle_matrix_rows(basis, induced_signed_edge_perm(g, o, a))
-    dim = len(rows)
-    return IntMatrix(dim, dim, tuple(itertools.chain.from_iterable(rows)))
+    return IntMatrix.from_rows(_cycle_matrix_rows(basis, induced_signed_edge_perm(g, o, a)))
 
 
 def _bareiss(a: list[list[int]]) -> int:

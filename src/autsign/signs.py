@@ -11,6 +11,8 @@ components (``homological_sign_extended``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from typing import Iterable, Iterator
 
 from .automorphism import (
     Automorphism,
@@ -21,11 +23,10 @@ from .automorphism import (
 )
 from .homology import (
     CycleBasis,
-    IntMatrix,
+    _bareiss,
+    _cycle_matrix_rows,
     cycle_space_det_sign,
-    det_bareiss,
     fundamental_cycles,
-    induced_cycle_matrix,
 )
 from .multigraph import Multigraph, Orientation, reference_orientation, spanning_forest
 
@@ -57,29 +58,26 @@ class DeterminantFactors:
 
 @dataclass(frozen=True)
 class SignComparison:
-    """Both signs of one automorphism, plus optional chain-level diagnostics."""
+    """Both signs of one automorphism, their factors, and optional diagnostics."""
 
     homological: int
     combinatorial: int
     agree: bool
     cycle_rank: int
     automorphism: Automorphism
+    signed_edge_perm: SignedEdgePermutation
+    vertex_parity: int
+    edge_parity: int
     factors: DeterminantFactors | None = None
 
 
-def _combinatorial(a: Automorphism, sep: SignedEdgePermutation) -> int:
-    sign = permutation_sign(a.vertex_perm)
-    for s in sep.edge_sign:
-        sign *= s
-    return sign
-
-
 def _homological(
-    g: Multigraph, basis: CycleBasis, a: Automorphism, sep: SignedEdgePermutation
+    g: Multigraph, basis: CycleBasis, a: Automorphism, sep: SignedEdgePermutation,
+    edge_parity: int,
 ) -> int:
-    """sign(edge permutation) * det sign on the cycle space * component parity."""
+    """edge parity * det sign on the cycle space * component parity."""
     return (
-        permutation_sign(sep.edge_perm)
+        edge_parity
         * cycle_space_det_sign(basis, sep)
         * component_permutation_sign(g, a)
     )
@@ -87,7 +85,8 @@ def _homological(
 
 def combinatorial_sign(g: Multigraph, o: Orientation, a: Automorphism) -> int:
     """sign(vertex permutation) times the product of per-edge arrow signs."""
-    return _combinatorial(a, induced_signed_edge_perm(g, o, a))
+    sep = induced_signed_edge_perm(g, o, a)
+    return prod(sep.edge_sign, start=permutation_sign(a.vertex_perm))
 
 
 def homological_sign(
@@ -122,7 +121,8 @@ def homological_sign_extended(
 
     Coincides with homological_sign on connected graphs.
     """
-    return _homological(g, basis, a, induced_signed_edge_perm(g, o, a))
+    sep = induced_signed_edge_perm(g, o, a)
+    return _homological(g, basis, a, sep, permutation_sign(sep.edge_perm))
 
 
 def chain_determinant_check(
@@ -138,38 +138,46 @@ def chain_determinant_check(
     """
     sep = induced_signed_edge_perm(g, o, a)
     m, n = g.edge_count, g.vertex_count
-    edge_mat = [[0] * m for _ in range(m)]
+    edge_rows = [[0] * m for _ in range(m)]
     for e in range(m):
-        edge_mat[sep.edge_perm[e]][e] = sep.edge_sign[e]
-    vertex_mat = [[0] * n for _ in range(n)]
+        edge_rows[sep.edge_perm[e]][e] = sep.edge_sign[e]
+    vertex_rows = [[0] * n for _ in range(n)]
     for v in range(n):
-        vertex_mat[a.vertex_perm[v]][v] = 1
+        vertex_rows[a.vertex_perm[v]][v] = 1
     return DeterminantFactors(
-        edge_space_det=det_bareiss(IntMatrix.from_rows(edge_mat, cols=m)),
-        vertex_space_det=det_bareiss(IntMatrix.from_rows(vertex_mat, cols=n)),
-        cycle_space_det=det_bareiss(induced_cycle_matrix(g, o, basis, a)),
+        edge_space_det=_bareiss(edge_rows),
+        vertex_space_det=_bareiss(vertex_rows),
+        cycle_space_det=_bareiss(_cycle_matrix_rows(basis, sep)),
         component_sign=component_permutation_sign(g, a),
     )
 
 
-def compare_signs(
-    g: Multigraph,
-    o: Orientation,
-    basis: CycleBasis,
-    a: Automorphism,
-    sep: SignedEdgePermutation,
-    diagnostics: bool = False,
-) -> SignComparison:
-    """Both routes on one automorphism, given its signed edge permutation.
+def comparisons(
+    g: Multigraph, automorphisms: Iterable[Automorphism], diagnostics: bool = False
+) -> Iterator[SignComparison]:
+    """Both routes on each of ``automorphisms`` of ``g``, in the given order.
 
-    The combinatorial route reads only ``a.vertex_perm`` and the arrow signs;
+    The reference orientation and the cycle basis are built once per graph,
+    and each automorphism's signed edge permutation and its two parities once.
+    The combinatorial route reads only the vertex parity and the arrow signs;
     the homological route takes the exact determinant of the explicit
-    cycle-space matrix. Neither sees the other's result.
+    cycle-space matrix. Neither sees the other's result. With ``diagnostics``
+    each record also carries the factors of chain_determinant_check, which
+    derives them on its own.
     """
-    comb = _combinatorial(a, sep)
-    hom = _homological(g, basis, a, sep)
-    factors = chain_determinant_check(g, o, basis, a) if diagnostics else None
-    return SignComparison(hom, comb, hom == comb, len(basis.cycles), a, factors)
+    o = reference_orientation(g)
+    basis = fundamental_cycles(g, o, spanning_forest(g))
+    for a in automorphisms:
+        sep = induced_signed_edge_perm(g, o, a)
+        vertex_parity = permutation_sign(a.vertex_perm)
+        edge_parity = permutation_sign(sep.edge_perm)
+        comb = prod(sep.edge_sign, start=vertex_parity)
+        hom = _homological(g, basis, a, sep, edge_parity)
+        factors = chain_determinant_check(g, o, basis, a) if diagnostics else None
+        yield SignComparison(
+            hom, comb, hom == comb, len(basis.cycles), a, sep, vertex_parity, edge_parity,
+            factors,
+        )
 
 
 def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignComparison]:
@@ -179,12 +187,7 @@ def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignCompariso
     property of the graph. With ``diagnostics`` each record also carries the
     chain-level determinant factors.
     """
-    o = reference_orientation(g)
-    basis = fundamental_cycles(g, o, spanning_forest(g))
-    return [
-        compare_signs(g, o, basis, a, induced_signed_edge_perm(g, o, a), diagnostics)
-        for a in enumerate_automorphisms(g)
-    ]
+    return list(comparisons(g, enumerate_automorphisms(g), diagnostics))
 
 
 def has_odd_automorphism(g: Multigraph) -> bool:

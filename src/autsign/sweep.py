@@ -154,9 +154,7 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _share_records(
-    params: SweepParams, share: int, shares: int, diagnostics: bool
-) -> Iterator[ChunkRecord]:
+def _share_records(params: SweepParams, share: int, shares: int) -> Iterator[ChunkRecord]:
     """Verify the chunks whose index is ``share`` modulo ``shares``; one record
     per chunk. Only the graphs of those chunks are built."""
     vectors = _kept_vectors(params)
@@ -170,7 +168,7 @@ def _share_records(
         failures: list[TheoremFailure] = []
         for n, slots, vector in chunk:
             g = _build(n, slots, vector)
-            results = verify_graph(g, diagnostics=diagnostics)
+            results = verify_graph(g)
             automorphisms += len(results)
             odd += any(r.combinatorial == -1 for r in results)
             failures.extend(
@@ -188,8 +186,7 @@ def _share_records(
 
 
 def _work(
-    out: BinaryIO, read_ends: list[BinaryIO], params: SweepParams, share: int, shares: int,
-    diagnostics: bool,
+    out: BinaryIO, read_ends: list[BinaryIO], params: SweepParams, share: int, shares: int
 ) -> NoReturn:
     """Body of a forked worker: close the inherited read ends, pickle each
     record of its share into ``out``, or the exception that stopped it, then
@@ -201,7 +198,7 @@ def _work(
         for reader in read_ends:
             reader.close()
         try:
-            for record in _share_records(params, share, shares, diagnostics):
+            for record in _share_records(params, share, shares):
                 pickle.dump(record, out, pickle.HIGHEST_PROTOCOL)
             failed = False
         except Exception as exc:
@@ -217,7 +214,7 @@ def _work(
         os._exit(code)
 
 
-def _forked_records(params: SweepParams, workers: int, diagnostics: bool) -> list[ChunkRecord]:
+def _forked_records(params: SweepParams, workers: int) -> list[ChunkRecord]:
     """Run the shares in forked workers and collect their records in chunk
     order; every worker is reaped, also when one fails."""
     import pickle
@@ -232,7 +229,7 @@ def _forked_records(params: SweepParams, workers: int, diagnostics: bool) -> lis
             with os.fdopen(write_fd, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _work(writer, readers, params, share, workers, diagnostics)
+                    _work(writer, readers, params, share, workers)
             pids.append(pid)
         # Chunk i comes from worker i modulo the worker count, so the first
         # end of stream is the end of the sweep.
@@ -262,7 +259,7 @@ def _forked_records(params: SweepParams, workers: int, diagnostics: bool) -> lis
     return records
 
 
-def sweep_verify(params: SweepParams, diagnostics: bool = False) -> VerificationReport:
+def sweep_verify(params: SweepParams) -> VerificationReport:
     """Run verify_graph over the whole enumeration and aggregate.
 
     The chunks are shared among one forked worker per available CPU; with one
@@ -274,9 +271,9 @@ def sweep_verify(params: SweepParams, diagnostics: bool = False) -> Verification
     started = time.perf_counter()
     workers = _worker_count() if hasattr(os, "fork") else 1
     if workers > 1:
-        records = _forked_records(params, workers, diagnostics)
+        records = _forked_records(params, workers)
     else:
-        records = list(_share_records(params, 0, 1, diagnostics))
+        records = list(_share_records(params, 0, 1))
     report = VerificationReport()
     for graphs, automorphisms, odd, failures in records:
         report.graphs_checked += graphs

@@ -6,6 +6,13 @@ import pytest
 
 import autsign.automorphism
 import autsign.sweep
+from autsign import (
+    enumerate_automorphisms,
+    induced_signed_edge_perm,
+    parse_graph,
+    permutation_sign,
+    verify_graph,
+)
 from autsign.cli import main
 from conftest import GOLDEN_TEXTS
 
@@ -31,6 +38,84 @@ def test_compute_loop_golden_output(graph_file, capsys):
         "[0] vperm=() v_sign=+1 e_sign=+1 eps=+ hom=+1 comb=+1 agree=yes\n"
         "[1] vperm=() v_sign=+1 e_sign=+1 eps=- hom=-1 comb=-1 agree=yes\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name, flags, expected",
+    [
+        ("double_edge", ["--diagnostics"], (
+            "graph: v 2; e 0 1; e 0 1\n"
+            "vertices: 2  edges: 2  components: 1  cycle_rank: 1\n"
+            "automorphisms: 4\n"
+            "[0] vperm=() v_sign=+1 e_sign=+1 eps=++ hom=+1 comb=+1 agree=yes"
+            " det_edges=+1 det_vertices=+1 det_cycles=+1 comp_sign=+1\n"
+            "[1] vperm=() v_sign=+1 e_sign=-1 eps=++ hom=+1 comb=+1 agree=yes"
+            " det_edges=-1 det_vertices=+1 det_cycles=-1 comp_sign=+1\n"
+            "[2] vperm=(0 1) v_sign=-1 e_sign=+1 eps=-- hom=-1 comb=-1 agree=yes"
+            " det_edges=+1 det_vertices=-1 det_cycles=-1 comp_sign=+1\n"
+            "[3] vperm=(0 1) v_sign=-1 e_sign=-1 eps=-- hom=-1 comb=-1 agree=yes"
+            " det_edges=-1 det_vertices=-1 det_cycles=+1 comp_sign=+1\n"
+        )),
+        ("two_edges_disjoint", ["--extended", "--diagnostics"], (
+            "graph: v 4; e 0 1; e 2 3\n"
+            "vertices: 4  edges: 2  components: 2  cycle_rank: 0\n"
+            "automorphisms: 8\n"
+            "[0] vperm=() v_sign=+1 e_sign=+1 eps=++ hom=+1 comb=+1 agree=yes"
+            " det_edges=+1 det_vertices=+1 det_cycles=+1 comp_sign=+1\n"
+            "[1] vperm=(2 3) v_sign=-1 e_sign=+1 eps=+- hom=+1 comb=+1 agree=yes"
+            " det_edges=-1 det_vertices=-1 det_cycles=+1 comp_sign=+1\n"
+            "[2] vperm=(0 1) v_sign=-1 e_sign=+1 eps=-+ hom=+1 comb=+1 agree=yes"
+            " det_edges=-1 det_vertices=-1 det_cycles=+1 comp_sign=+1\n"
+            "[3] vperm=(0 1)(2 3) v_sign=+1 e_sign=+1 eps=-- hom=+1 comb=+1 agree=yes"
+            " det_edges=+1 det_vertices=+1 det_cycles=+1 comp_sign=+1\n"
+            "[4] vperm=(0 2)(1 3) v_sign=+1 e_sign=-1 eps=++ hom=+1 comb=+1 agree=yes"
+            " det_edges=-1 det_vertices=+1 det_cycles=+1 comp_sign=-1\n"
+            "[5] vperm=(0 2 1 3) v_sign=-1 e_sign=-1 eps=+- hom=+1 comb=+1 agree=yes"
+            " det_edges=+1 det_vertices=-1 det_cycles=+1 comp_sign=-1\n"
+            "[6] vperm=(0 3 1 2) v_sign=-1 e_sign=-1 eps=-+ hom=+1 comb=+1 agree=yes"
+            " det_edges=+1 det_vertices=-1 det_cycles=+1 comp_sign=-1\n"
+            "[7] vperm=(0 3)(1 2) v_sign=+1 e_sign=-1 eps=-- hom=+1 comb=+1 agree=yes"
+            " det_edges=-1 det_vertices=+1 det_cycles=+1 comp_sign=-1\n"
+        )),
+    ],
+)
+def test_compute_golden_output_with_diagnostics(graph_file, capsys, name, flags, expected):
+    rc = main(["compute", graph_file(GOLDEN_TEXTS[name]), *flags])
+    assert rc == 0
+    assert capsys.readouterr().out == expected
+
+
+def count_calls(functions, run):
+    """Calls of each of ``functions`` while ``run()`` runs, by name. Calls are
+    matched on the function's code object, so the count does not depend on
+    the module a caller imported the name from."""
+    codes = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_file, capsys):
+    # On connected graphs the component parity takes no permutation_sign call.
+    for name in ("loop", "double_edge", "triangle", "path4", "loop_plus_edge"):
+        g = parse_graph(GOLDEN_TEXTS[name])
+        order = len(enumerate_automorphisms(g))
+        expected = {"induced_signed_edge_perm": order, "permutation_sign": 2 * order}
+        path = graph_file(GOLDEN_TEXTS[name])
+        counted = (induced_signed_edge_perm, permutation_sign)
+        assert count_calls(counted, lambda: main(["compute", path])) == expected, name
+        assert count_calls(counted, lambda: verify_graph(g)) == expected, name
+        assert capsys.readouterr().out.count(" agree=yes") == order
 
 
 def test_compute_diagnostics_columns(graph_file, capsys):
@@ -99,6 +184,34 @@ def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_bef
     assert rc == 2
     assert len(captured.out.splitlines()) == lines_before
     assert captured.err == "error: the automorphism group has more than 1000 elements, too many to list\n"
+
+
+def test_compute_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"v 1\n\xff\n")
+    rc = main(["compute", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("command", ["verify", "census"])
+@pytest.mark.parametrize(
+    "cap, value, message",
+    [
+        ("--max-vertices", "0", "max_vertices must be >= 1"),
+        ("--max-edges", "-1", "max_edges must be >= 0"),
+        ("--max-multiplicity", "0", "max_multiplicity must be >= 1"),
+    ],
+)
+def test_sweeps_reject_a_cap_out_of_range(capsys, command, cap, value, message):
+    caps = {"--max-vertices": "1", "--max-edges": "1", "--max-multiplicity": "1", cap: value}
+    rc = main([command, *(token for pair in caps.items() for token in pair)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_compute_missing_file(capsys):

@@ -174,8 +174,8 @@ def swaps_disagree(monkeypatch):
     and 1, so that the sweeps report disagreements."""
     real = autsign.signs._homological
 
-    def wrong_on_swaps(g, basis, a, sep):
-        sign = real(g, basis, a, sep)
+    def wrong_on_swaps(g, basis, a, *rest):
+        sign = real(g, basis, a, *rest)
         return -sign if a.vertex_perm[:2] == (1, 0) else sign
 
     monkeypatch.setattr(autsign.signs, "_homological", wrong_on_swaps)
