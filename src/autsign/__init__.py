@@ -20,6 +20,7 @@ from .automorphism import (
     induced_signed_edge_perm,
     invert,
     permutation_sign,
+    stream_automorphisms,
 )
 from .homology import (
     CycleBasis,
@@ -112,6 +113,7 @@ __all__ = [
     "serialize",
     "serialize_compact",
     "spanning_forest",
+    "stream_automorphisms",
     "sweep_verify",
     "verify_graph",
 ]

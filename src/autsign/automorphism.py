@@ -10,14 +10,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .multigraph import Multigraph, Orientation
 
-# The most automorphisms enumerate_automorphisms lists before it gives up. The
-# list is held in memory: reaching the cap on 12 isolated vertices (12!
-# automorphisms) takes about 3 s and 130 MB, well under a 1 GiB address-space
-# limit. Every group the sweeps and the benchmark pin is far below it (the
-# largest, one vertex with 6 loops, has 46080 elements).
+# The largest group stream_automorphisms hands out. The group is streamed, so
+# what is held is the list of vertex bijections (at most this many) plus one
+# block's half-edge tuples, and the cap bounds time: every element of a larger
+# group would be built and signed in turn. Reaching the cap on 12 isolated
+# vertices (12! automorphisms) takes about 5 s and 90 MB on a 2-vCPU VM, well
+# under a 1 GiB address-space limit. Every group the sweeps and the benchmark
+# pin is far below it (the largest, one vertex with 6 loops, has 46080
+# elements).
 MAX_AUTOMORPHISMS = 500_000
 
 
@@ -163,6 +167,7 @@ class _HalfEdgeExtensions:
             block *= math.factorial(len(edges))
         if block > MAX_AUTOMORPHISMS:
             raise _too_large()
+        self.block = block
         self.matchings = {
             pair: list(itertools.permutations(edges)) for pair, edges in self.classes
         }
@@ -171,9 +176,10 @@ class _HalfEdgeExtensions:
             for flips in itertools.product((0, 1), repeat=len(loops))
         ]
 
-    def extend(self, vperm: tuple[int, ...]) -> list[Automorphism]:
-        """All automorphisms over a multiplicity-preserving vertex bijection,
-        sorted by half-edge permutation."""
+    def extend(self, vperm: tuple[int, ...]) -> Iterator[Automorphism]:
+        """The automorphisms over a multiplicity-preserving vertex bijection,
+        sorted by half-edge permutation. Only the block's half-edge tuples are
+        held; each is wrapped as it is yielded."""
         endpoint = self.endpoint
         choice_lists = []
         for (a, b), _ in self.classes:
@@ -197,19 +203,15 @@ class _HalfEdgeExtensions:
                     hep[2 * e], hep[2 * e + 1] = hep[2 * e + 1], hep[2 * e]
                 block.append(tuple(hep))
         block.sort()
-        return [Automorphism(hep, vperm) for hep in block]
+        for hep in block:
+            yield Automorphism(hep, vperm)
 
 
-def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
-    """The full automorphism group, identity first, then ordered
-    lexicographically by (vertex_perm, half_edge_perm).
+def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
+    """Multiplicity-preserving vertex bijections, in lexicographic order.
 
     Backtracks over vertex images, pruning on the (degree, loop count)
-    invariant and on pairwise edge multiplicities; every surviving vertex
-    bijection is extended over all compatible half-edge matchings. Vertex
-    bijections come out in lexicographic order, so sorting each one's
-    extensions orders the whole group. Raises GroupTooLargeError as soon as
-    the group is known to have more than MAX_AUTOMORPHISMS elements.
+    invariant and on pairwise edge multiplicities.
     """
     n = g.vertex_count
     invariant = [(g.degree(v), g.loop_count(v)) for v in range(n)]
@@ -218,16 +220,12 @@ def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
     for (a, b), m in g.edge_multiplicities.items():
         if a != b:
             neighbours[a][b] = neighbours[b][a] = m
-    extensions = _HalfEdgeExtensions(g)
-    found: list[Automorphism] = []
     image = [-1] * n
     preimage = [-1] * n
     v = 0
     while v >= 0:
         if v == n:
-            found.extend(extensions.extend(tuple(image)))
-            if len(found) > MAX_AUTOMORPHISMS:
-                raise _too_large()
+            yield tuple(image)
             v -= 1
             continue
         w = image[v]
@@ -247,4 +245,35 @@ def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
             break
         else:
             v -= 1
-    return found
+
+
+def stream_automorphisms(g: Multigraph) -> tuple[int, Iterator[Automorphism]]:
+    """The order of the automorphism group and a lazy stream of its elements,
+    identity first, then ordered lexicographically by (vertex_perm,
+    half_edge_perm).
+
+    The group falls into one block per multiplicity-preserving vertex
+    bijection, each of the same size: the bijection lifted over every
+    matching of parallel edges and every choice of loop flips. The bijections
+    are collected first, so the order is known, and GroupTooLargeError is
+    raised here, before any automorphism is built, once the group has more
+    than MAX_AUTOMORPHISMS elements. The bijections come out in lexicographic
+    order, so the stream orders the whole group by building and sorting one
+    block at a time; the automorphisms of a block share one vertex_perm
+    tuple.
+    """
+    extensions = _HalfEdgeExtensions(g)
+    most = MAX_AUTOMORPHISMS // extensions.block
+    bijections: list[tuple[int, ...]] = []
+    for vperm in _vertex_bijections(g):
+        if len(bijections) == most:
+            raise _too_large()
+        bijections.append(vperm)
+    order = len(bijections) * extensions.block
+    return order, (a for vperm in bijections for a in extensions.extend(vperm))
+
+
+def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:
+    """The full automorphism group as a list, in the order of
+    stream_automorphisms."""
+    return list(stream_automorphisms(g)[1])

@@ -15,7 +15,7 @@ from pathlib import Path
 from .automorphism import (
     GroupTooLargeError,
     cycle_notation,
-    enumerate_automorphisms,
+    stream_automorphisms,
 )
 from .homology import IntMatrix, det_bareiss, det_cofactor, fundamental_cycles
 from .multigraph import (
@@ -53,18 +53,23 @@ def cmd_compute(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    auts = enumerate_automorphisms(g)
+    order, auts = stream_automorphisms(g)
     print(f"graph: {serialize_compact(g)}")
     print(
         f"vertices: {g.vertex_count}  edges: {g.edge_count}  "
         f"components: {g.components.component_count}  cycle_rank: {g.cycle_rank}"
     )
-    print(f"automorphisms: {len(auts)}")
+    print(f"automorphisms: {order}")
     # Without --extended the graph is connected, where the component sign is +1.
+    vperm = None
     for i, r in enumerate(comparisons(g, auts, args.diagnostics)):
+        if r.automorphism.vertex_perm is not vperm:
+            # once per vertex-bijection block
+            vperm = r.automorphism.vertex_perm
+            vperm_cycles = cycle_notation(vperm)
         eps = "".join("+" if s > 0 else "-" for s in r.signed_edge_perm.edge_sign)
         line = (
-            f"[{i}] vperm={cycle_notation(r.automorphism.vertex_perm)}"
+            f"[{i}] vperm={vperm_cycles}"
             f" v_sign={_fmt_sign(r.vertex_parity)}"
             f" e_sign={_fmt_sign(r.edge_parity)}"
             f" eps={eps or '(none)'}"

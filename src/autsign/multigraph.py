@@ -219,10 +219,16 @@ def spanning_forest(g: Multigraph, root: int | None = None) -> SpanningForest:
 
 
 def _int_field(fields: list[str], index: int, lineno: int, what: str) -> int:
+    """An optional '-' and ASCII digits only: int() would also take '1_0',
+    '+0' and non-ASCII digits."""
+    field = fields[index]
+    digits = field[1:] if field.startswith("-") else field
     try:
-        return int(fields[index])
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: {what} is not an integer: {fields[index]!r}") from None
+        if digits.isascii() and digits.isdigit():
+            return int(field)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise GraphFormatError(f"line {lineno}: {what} is not an integer: {field!r}")
 
 
 def parse_graph(text: str) -> Multigraph:
@@ -230,15 +236,15 @@ def parse_graph(text: str) -> Multigraph:
 
     ``v <n>`` must come first, exactly once, with 0 <= n <= MAX_VERTICES;
     each ``e <a> <b>`` adds one edge (a == b makes a loop, repeats make
-    parallel edges), at most MAX_EDGES in all. ``#`` starts a comment line,
-    blank lines are skipped, and ``;`` separates directives within a line so
-    one-line serializations parse too.
+    parallel edges), at most MAX_EDGES in all. ``#`` starts a comment that
+    runs to the end of its line, blank lines are skipped, and ``;`` separates
+    directives within a line so one-line serializations parse too.
     """
     vertex_count: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         for chunk in line.split(";"):
             chunk = chunk.strip()

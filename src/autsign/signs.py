@@ -17,9 +17,9 @@ from typing import Iterable, Iterator
 from .automorphism import (
     Automorphism,
     SignedEdgePermutation,
-    enumerate_automorphisms,
     induced_signed_edge_perm,
     permutation_sign,
+    stream_automorphisms,
 )
 from .homology import (
     CycleBasis,
@@ -73,14 +73,11 @@ class SignComparison:
 
 def _homological(
     g: Multigraph, basis: CycleBasis, a: Automorphism, sep: SignedEdgePermutation,
-    edge_parity: int,
+    edge_parity: int, component_parity: int,
 ) -> int:
-    """edge parity * det sign on the cycle space * component parity."""
-    return (
-        edge_parity
-        * cycle_space_det_sign(basis, sep)
-        * component_permutation_sign(g, a)
-    )
+    """edge parity * det sign on the cycle space * component parity, for the
+    automorphism ``a`` of ``g``."""
+    return edge_parity * cycle_space_det_sign(basis, sep) * component_parity
 
 
 def combinatorial_sign(g: Multigraph, o: Orientation, a: Automorphism) -> int:
@@ -122,7 +119,10 @@ def homological_sign_extended(
     Coincides with homological_sign on connected graphs.
     """
     sep = induced_signed_edge_perm(g, o, a)
-    return _homological(g, basis, a, sep, permutation_sign(sep.edge_perm))
+    return _homological(
+        g, basis, a, sep, permutation_sign(sep.edge_perm),
+        component_permutation_sign(g, a),
+    )
 
 
 def chain_determinant_check(
@@ -157,22 +157,29 @@ def comparisons(
 ) -> Iterator[SignComparison]:
     """Both routes on each of ``automorphisms`` of ``g``, in the given order.
 
-    The reference orientation and the cycle basis are built once per graph,
-    and each automorphism's signed edge permutation and its two parities once.
-    The combinatorial route reads only the vertex parity and the arrow signs;
-    the homological route takes the exact determinant of the explicit
-    cycle-space matrix. Neither sees the other's result. With ``diagnostics``
+    The reference orientation and the cycle basis are built once per graph.
+    The vertex parity and the component parity depend on the vertex
+    permutation alone, so they are computed again only when it is not the
+    previous automorphism's tuple: once per block of a stream_automorphisms
+    stream. Each automorphism gets its own signed edge permutation and edge
+    parity. The combinatorial route reads only the vertex parity and the
+    arrow signs; the homological route takes the exact determinant of the
+    explicit cycle-space matrix. Neither sees the other's result. With ``diagnostics``
     each record also carries the factors of chain_determinant_check, which
     derives them on its own.
     """
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
+    vperm = None
     for a in automorphisms:
+        if a.vertex_perm is not vperm:
+            vperm = a.vertex_perm
+            vertex_parity = permutation_sign(vperm)
+            component_parity = component_permutation_sign(g, a)
         sep = induced_signed_edge_perm(g, o, a)
-        vertex_parity = permutation_sign(a.vertex_perm)
         edge_parity = permutation_sign(sep.edge_perm)
         comb = prod(sep.edge_sign, start=vertex_parity)
-        hom = _homological(g, basis, a, sep, edge_parity)
+        hom = _homological(g, basis, a, sep, edge_parity, component_parity)
         factors = chain_determinant_check(g, o, basis, a) if diagnostics else None
         yield SignComparison(
             hom, comb, hom == comb, len(basis.cycles), a, sep, vertex_parity, edge_parity,
@@ -187,16 +194,17 @@ def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignCompariso
     property of the graph. With ``diagnostics`` each record also carries the
     chain-level determinant factors.
     """
-    return list(comparisons(g, enumerate_automorphisms(g), diagnostics))
+    return list(comparisons(g, stream_automorphisms(g)[1], diagnostics))
 
 
 def has_odd_automorphism(g: Multigraph) -> bool:
     """True iff some automorphism has sign -1.
 
     Uses the combinatorial route only (no homology needed); the agreement of
-    the two routes is what verify_graph certifies.
+    the two routes is what verify_graph certifies. Stops building the group
+    at the first odd automorphism.
     """
     o = reference_orientation(g)
     return any(
-        combinatorial_sign(g, o, a) == -1 for a in enumerate_automorphisms(g)
+        combinatorial_sign(g, o, a) == -1 for a in stream_automorphisms(g)[1]
     )

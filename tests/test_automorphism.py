@@ -2,22 +2,31 @@ import gc
 import math
 import weakref
 
+import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import MultiGraphMatcher
 
+import autsign.automorphism
 from autsign import (
     Automorphism,
+    GroupTooLargeError,
+    SweepParams,
     check_automorphism,
     compose,
     cycle_notation,
     enumerate_automorphisms,
+    enumerate_multigraphs,
     identity_automorphism,
     induced_signed_edge_perm,
     invert,
     parse_graph,
     permutation_sign,
     reference_orientation,
+    stream_automorphisms,
 )
+from autsign.cli import main
+from autsign.signs import comparisons
 from conftest import GOLDEN_TEXTS, multigraphs
 from oracles import (
     adjacency_preserving_vertex_perms,
@@ -67,6 +76,99 @@ def test_dropped_group_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("text", ["v 1\n" + "e 0 0\n" * 6, "v 8\n" + "".join(f"e 0 {i}\n" for i in range(1, 8))])
+def test_streaming_holds_a_handful_of_automorphisms(text):
+    # one vertex with 6 loops is a single block of 46080; the star K_{1,7} has
+    # 5040 blocks of one
+    g = parse_graph(text)
+    order, auts = stream_automorphisms(g)
+    alive = weakref.WeakSet()
+    most = seen = 0
+    gc.disable()
+    try:
+        for r in comparisons(g, auts):
+            alive.add(r.automorphism)
+            most = max(most, len(alive))
+            seen += 1
+    finally:
+        gc.enable()
+    assert seen == order
+    assert most <= 3
+
+
+def test_stream_order_and_elements_on_a_cap_set():
+    params = SweepParams(max_vertices=4, max_edges=5, max_multiplicity=2, allow_loops=True)
+    graphs = 0
+    for g in enumerate_multigraphs(params):
+        order, auts = stream_automorphisms(g)
+        auts = list(auts)
+        assert order == len(auts)
+        assert auts[0] == identity_automorphism(g)
+        keys = [(a.vertex_perm, a.half_edge_perm) for a in auts]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        assert auts == enumerate_automorphisms(g)
+        graphs += 1
+    assert graphs > 1000
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("v 1\n" + "e 0 0\n" * 5, 3840),  # one block of 3840
+        ("v 8\n" + "".join(f"e 0 {i}\n" for i in range(1, 8)), 5040),  # 5040 blocks of 1
+        ("v 3\ne 0 1\ne 0 1\ne 0 1\ne 0 2\ne 0 2\ne 0 2\n", 72),  # 2 blocks of 36
+    ],
+)
+def test_a_group_above_the_cap_fails_before_its_first_element(
+    monkeypatch, capsys, tmp_path, text, order
+):
+    g = parse_graph(text)
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    real = autsign.automorphism.Automorphism
+    built = []
+    monkeypatch.setattr(
+        autsign.automorphism, "Automorphism", lambda *args: built.append(args) or real(*args)
+    )
+    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", order - 1)
+    with pytest.raises(GroupTooLargeError):
+        stream_automorphisms(g)
+    assert main(["compute", "--extended", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the automorphism group has more than {order - 1}")
+    assert built == []
+    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", order)
+    got, auts = stream_automorphisms(g)
+    assert got == order == sum(1 for _ in auts) == len(built)
+
+
+def _kernel_order(g):
+    """|K|: the lifts of one vertex bijection, from the edge multiplicities."""
+    block = 1
+    for (a, b), m in g.edge_multiplicities.items():
+        block *= math.factorial(m) * (2**m if a == b else 1)
+    return block
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_vertices=6, max_edges=8))
+def test_group_order_matches_networkx_times_the_kernel(g):
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(range(g.vertex_count))
+    nxg.add_edges_from(g.edges())
+    vertex_bijections = sum(1 for _ in MultiGraphMatcher(nxg, nxg).isomorphisms_iter())
+    expected = vertex_bijections * _kernel_order(g)
+    if expected > autsign.automorphism.MAX_AUTOMORPHISMS:
+        with pytest.raises(GroupTooLargeError):
+            stream_automorphisms(g)
+        return
+    order, auts = stream_automorphisms(g)
+    assert order == expected
+    if order <= 10_000:
+        assert sum(1 for _ in auts) == order
 
 
 def test_identity_first_and_lexicographic_order(golden):

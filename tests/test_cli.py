@@ -106,11 +106,14 @@ def count_calls(functions, run):
 
 
 def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_file, capsys):
-    # On connected graphs the component parity takes no permutation_sign call.
+    # The edge parity takes one permutation_sign call per automorphism and the
+    # vertex parity one per vertex-bijection block. On connected graphs the
+    # component parity takes none.
     for name in ("loop", "double_edge", "triangle", "path4", "loop_plus_edge"):
         g = parse_graph(GOLDEN_TEXTS[name])
-        order = len(enumerate_automorphisms(g))
-        expected = {"induced_signed_edge_perm": order, "permutation_sign": 2 * order}
+        auts = enumerate_automorphisms(g)
+        order, blocks = len(auts), len({a.vertex_perm for a in auts})
+        expected = {"induced_signed_edge_perm": order, "permutation_sign": order + blocks}
         path = graph_file(GOLDEN_TEXTS[name])
         counted = (induced_signed_edge_perm, permutation_sign)
         assert count_calls(counted, lambda: main(["compute", path])) == expected, name

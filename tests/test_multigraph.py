@@ -1,7 +1,9 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from autsign import (
     GraphFormatError,
@@ -45,6 +47,22 @@ def test_parse_comments_blanks_and_compact_form():
     assert parse_graph("v 2; e 0 1") == Multigraph.from_edges(2, [(0, 1)])
 
 
+def test_readme_format_example_parses_to_the_triangle():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Graph file format", 1)[1]
+    example = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    assert "v 3        #" in example
+    assert parse_graph(example) == parse_graph(GOLDEN_TEXTS["triangle"])
+
+
+@given(st.text())
+def test_only_format_errors_escape_the_parser(text):
+    try:
+        parse_graph(text)
+    except GraphFormatError:
+        pass
+
+
 def test_pairing_is_fixed_point_free_involution():
     g = parse_graph(GOLDEN_TEXTS["triangle"])
     for h in range(g.half_edge_count):
@@ -70,6 +88,10 @@ def test_pairing_is_fixed_point_free_involution():
         ("v 2\ne 0\n", "expected 'e <a> <b>'"),
         ("v 2\ne 0 1 2\n", "expected 'e <a> <b>'"),
         ("v x\n", "not an integer"),
+        ("v 1_0\n", "not an integer"),
+        ("v \u0663\n", "not an integer"),
+        ("v 2\ne +0 0\n", "not an integer"),
+        pytest.param("v " + "9" * 5000 + "\n", "not an integer", id="digit-limit"),
         ("", "missing 'v'"),
     ],
 )

@@ -15,6 +15,7 @@ from autsign import (
     enumerate_multigraphs,
     serialize_compact,
     sweep_verify,
+    verify_graph,
 )
 from autsign.sweep import CHUNK_GRAPHS, _bounded_vectors
 
@@ -160,6 +161,18 @@ def test_census_matches_expected_flags():
     assert flags["v 3; e 0 1; e 1 2"] is True  # path3
     assert flags["v 2; e 0 1"] is False  # single edge
     assert flags["v 1"] is False
+
+
+def test_census_flags_match_the_exhaustive_signs_on_the_connected_caps():
+    params = SweepParams(
+        max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True,
+        connected_only=True,
+    )
+    odd = 0
+    for g, is_odd in census_orientable(params):
+        assert is_odd is any(r.combinatorial == -1 for r in verify_graph(g)), g
+        odd += is_odd
+    assert odd == 9686
 
 
 def test_census_order_matches_enumeration():
