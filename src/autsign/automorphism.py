@@ -14,14 +14,11 @@ from typing import Iterator
 
 from .multigraph import Multigraph, Orientation
 
-# The largest group stream_automorphisms hands out. The group is streamed, so
-# what is held is the list of vertex bijections (at most this many) plus one
-# block's half-edge tuples, and the cap bounds time: every element of a larger
-# group would be built and signed in turn. Reaching the cap on 12 isolated
-# vertices (12! automorphisms) takes about 5 s and 90 MB on a 2-vCPU VM, well
-# under a 1 GiB address-space limit. Every group the sweeps and the benchmark
-# pin is far below it (the largest, one vertex with 6 loops, has 46080
-# elements).
+# The largest group stream_automorphisms hands out. What is held is the vertex
+# bijections plus one block's half-edge tuples, so the cap bounds time. Reaching
+# it on 12 isolated vertices (12! automorphisms) takes about 5 s and 90 MB on a
+# 2-vCPU VM, well under a 1 GiB address-space limit. Every pinned group is far
+# below it (the largest, one vertex with 6 loops, has 46080 elements).
 MAX_AUTOMORPHISMS = 500_000
 
 
@@ -248,19 +245,14 @@ def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
 
 
 def stream_automorphisms(g: Multigraph) -> tuple[int, Iterator[Automorphism]]:
-    """The order of the automorphism group and a lazy stream of its elements,
-    identity first, then ordered lexicographically by (vertex_perm,
-    half_edge_perm).
+    """The group's order and a lazy stream of its elements, identity first,
+    then ordered by (vertex_perm, half_edge_perm).
 
-    The group falls into one block per multiplicity-preserving vertex
-    bijection, each of the same size: the bijection lifted over every
-    matching of parallel edges and every choice of loop flips. The bijections
-    are collected first, so the order is known, and GroupTooLargeError is
-    raised here, before any automorphism is built, once the group has more
-    than MAX_AUTOMORPHISMS elements. The bijections come out in lexicographic
-    order, so the stream orders the whole group by building and sorting one
-    block at a time; the automorphisms of a block share one vertex_perm
-    tuple.
+    Each multiplicity-preserving vertex bijection has a block of lifts, all
+    blocks of one size. The bijections are collected first, in lexicographic
+    order, so GroupTooLargeError is raised here, before any automorphism is
+    built; the stream then builds and sorts one block at a time. The
+    automorphisms of a block share one vertex_perm tuple.
     """
     extensions = _HalfEdgeExtensions(g)
     most = MAX_AUTOMORPHISMS // extensions.block

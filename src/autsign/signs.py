@@ -201,8 +201,8 @@ def has_odd_automorphism(g: Multigraph) -> bool:
     """True iff some automorphism has sign -1.
 
     Uses the combinatorial route only (no homology needed); the agreement of
-    the two routes is what verify_graph certifies. Stops building the group
-    at the first odd automorphism.
+    the two routes is what verify_graph certifies. The group is streamed, so
+    no lift is built past the first odd automorphism.
     """
     o = reference_orientation(g)
     return any(

@@ -78,10 +78,13 @@ def test_dropped_group_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("text", ["v 1\n" + "e 0 0\n" * 6, "v 8\n" + "".join(f"e 0 {i}\n" for i in range(1, 8))])
+STAR_K17 = "v 8\n" + "".join(f"e 0 {i}\n" for i in range(1, 8))
+
+
+# one vertex with 6 loops is a single block of 46080; the star K_{1,7} has 5040
+# blocks of one
+@pytest.mark.parametrize("text", ["v 1\n" + "e 0 0\n" * 6, STAR_K17])
 def test_streaming_holds_a_handful_of_automorphisms(text):
-    # one vertex with 6 loops is a single block of 46080; the star K_{1,7} has
-    # 5040 blocks of one
     g = parse_graph(text)
     order, auts = stream_automorphisms(g)
     alive = weakref.WeakSet()
@@ -117,7 +120,7 @@ def test_stream_order_and_elements_on_a_cap_set():
     "text, order",
     [
         ("v 1\n" + "e 0 0\n" * 5, 3840),  # one block of 3840
-        ("v 8\n" + "".join(f"e 0 {i}\n" for i in range(1, 8)), 5040),  # 5040 blocks of 1
+        (STAR_K17, 5040),  # 5040 blocks of 1
         ("v 3\ne 0 1\ne 0 1\ne 0 1\ne 0 2\ne 0 2\ne 0 2\n", 72),  # 2 blocks of 36
     ],
 )
