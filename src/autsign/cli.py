@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -264,10 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flushed here, so that a reader gone from stdout is met in this try.
+        sys.stdout.flush()
+        return status
     except GroupTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does). Python flushes stdout
+        # again at exit, so point it at devnull, as the Python docs' note on
+        # SIGPIPE does, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -71,15 +71,6 @@ class SignComparison:
     factors: DeterminantFactors | None = None
 
 
-def _homological(
-    g: Multigraph, basis: CycleBasis, a: Automorphism, sep: SignedEdgePermutation,
-    edge_parity: int, component_parity: int,
-) -> int:
-    """edge parity * det sign on the cycle space * component parity, for the
-    automorphism ``a`` of ``g``."""
-    return edge_parity * cycle_space_det_sign(basis, sep) * component_parity
-
-
 def combinatorial_sign(g: Multigraph, o: Orientation, a: Automorphism) -> int:
     """sign(vertex permutation) times the product of per-edge arrow signs."""
     sep = induced_signed_edge_perm(g, o, a)
@@ -119,9 +110,10 @@ def homological_sign_extended(
     Coincides with homological_sign on connected graphs.
     """
     sep = induced_signed_edge_perm(g, o, a)
-    return _homological(
-        g, basis, a, sep, permutation_sign(sep.edge_perm),
-        component_permutation_sign(g, a),
+    return (
+        permutation_sign(sep.edge_perm)
+        * cycle_space_det_sign(basis, sep)
+        * component_permutation_sign(g, a)
     )
 
 
@@ -179,7 +171,7 @@ def comparisons(
         sep = induced_signed_edge_perm(g, o, a)
         edge_parity = permutation_sign(sep.edge_perm)
         comb = prod(sep.edge_sign, start=vertex_parity)
-        hom = _homological(g, basis, a, sep, edge_parity, component_parity)
+        hom = edge_parity * cycle_space_det_sign(basis, sep) * component_parity
         factors = chain_determinant_check(g, o, basis, a) if diagnostics else None
         yield SignComparison(
             hom, comb, hom == comb, len(basis.cycles), a, sep, vertex_parity, edge_parity,

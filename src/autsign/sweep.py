@@ -5,18 +5,19 @@ Enumeration is labeled (no isomorphism rejection) and streamed: graphs come
 out one at a time, ordered by vertex count and then lexicographically by the
 upper-triangular multiplicity vector, so runs are reproducible bit for bit.
 
-``sweep_verify`` cuts the enumeration into chunks of CHUNK_GRAPHS graphs and
-deals them round-robin to one forked worker per available CPU; the parent
-merges the per-chunk records in chunk order, so the report does not depend on
-the worker count.
+``sweep_verify`` and ``census_orientable`` share one ordered map: chunks of
+CHUNK_GRAPHS graphs are dealt round-robin to one forked worker per available
+CPU, and the parent reads the per-graph results back in enumeration order, so
+the output does not depend on the worker count.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, NoReturn
+from typing import BinaryIO, Callable, Iterator, NoReturn, TypeVar
 
 from .multigraph import Multigraph, serialize_compact
 from .signs import has_odd_automorphism, verify_graph
@@ -100,14 +101,13 @@ def _spans_all(vertex_count: int, slot_masks: list[int], vector: tuple[int, ...]
     return True
 
 
-# Graphs per chunk of sweep_verify: small enough that the workers' shares of
-# the connected sweep (197 chunks) stay even, large enough that a chunk's
-# record is a small part of its work.
+# Graphs per chunk of a sweep: small enough that the workers' shares of the
+# connected sweep (197 chunks) stay even, large enough that a worker's turn
+# at the pipe is a small part of its work.
 CHUNK_GRAPHS = 64
 
 Slots = list[tuple[int, int]]
-# graphs, automorphisms, odd graphs and failures of one chunk
-ChunkRecord = tuple[int, int, int, list[TheoremFailure]]
+T = TypeVar("T")
 
 
 def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, ...]]]:
@@ -154,43 +154,18 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _share_records(params: SweepParams, share: int, shares: int) -> Iterator[ChunkRecord]:
-    """Verify the chunks whose index is ``share`` modulo ``shares``; one record
-    per chunk. Only the graphs of those chunks are built."""
-    vectors = _kept_vectors(params)
-    for index in itertools.count():
-        chunk = list(itertools.islice(vectors, CHUNK_GRAPHS))
-        if not chunk:
-            return
-        if index % shares != share:
-            continue
-        automorphisms = odd = 0
-        failures: list[TheoremFailure] = []
-        for n, slots, vector in chunk:
-            g = _build(n, slots, vector)
-            results = verify_graph(g)
-            automorphisms += len(results)
-            odd += any(r.combinatorial == -1 for r in results)
-            failures.extend(
-                TheoremFailure(
-                    serialize_compact(g),
-                    r.automorphism.vertex_perm,
-                    r.automorphism.half_edge_perm,
-                    r.homological,
-                    r.combinatorial,
-                )
-                for r in results
-                if not r.agree
-            )
-        yield len(chunk), automorphisms, odd, failures
+def _share_graphs(params: SweepParams, share: int, shares: int) -> Iterator[Multigraph]:
+    """The graphs of the chunks whose index is ``share`` modulo ``shares``;
+    only these graphs are built."""
+    for i, (n, slots, vector) in enumerate(_kept_vectors(params)):
+        if i // CHUNK_GRAPHS % shares == share:
+            yield _build(n, slots, vector)
 
 
-def _work(
-    out: BinaryIO, read_ends: list[BinaryIO], params: SweepParams, share: int, shares: int
-) -> NoReturn:
-    """Body of a forked worker: close the inherited read ends, pickle each
-    record of its share into ``out``, or the exception that stopped it, then
-    leave without returning to the caller's frames."""
+def _work(out: BinaryIO, read_ends: list[BinaryIO], results: Iterator[object]) -> NoReturn:
+    """Body of a forked worker: close the inherited read ends, pickle each of
+    ``results`` into ``out``, or the exception that stopped them, then leave
+    without returning to the caller's frames."""
     import pickle
 
     code = 1
@@ -198,8 +173,8 @@ def _work(
         for reader in read_ends:
             reader.close()
         try:
-            for record in _share_records(params, share, shares):
-                pickle.dump(record, out, pickle.HIGHEST_PROTOCOL)
+            for result in results:
+                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
             failed = False
         except Exception as exc:
             failed = True
@@ -214,14 +189,23 @@ def _work(
         os._exit(code)
 
 
-def _forked_records(params: SweepParams, workers: int) -> list[ChunkRecord]:
-    """Run the shares in forked workers and collect their records in chunk
-    order; every worker is reaped, also when one fails."""
+def _ordered_map(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> Iterator[T]:
+    """``per_graph(g)`` for every graph of the enumeration, in its order.
+
+    Each forked worker pipes one result per graph of its chunks, and the
+    parent reads CHUNK_GRAPHS results from each pipe in turn; with one CPU, or
+    without ``os.fork``, this is a plain ``map``. An exception in ``per_graph``
+    reaches the consumer with its type and message. Every worker is reaped,
+    also when the map is closed early; the exit statuses are checked at its end.
+    """
+    workers = _worker_count() if hasattr(os, "fork") else 1
+    if workers == 1:
+        yield from map(per_graph, enumerate_multigraphs(params))
+        return
     import pickle
 
     pids: list[int] = []
     readers: list[BinaryIO] = []
-    records: list[ChunkRecord] = []
     try:
         for share in range(workers):
             read_fd, write_fd = os.pipe()
@@ -229,18 +213,18 @@ def _forked_records(params: SweepParams, workers: int) -> list[ChunkRecord]:
             with os.fdopen(write_fd, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _work(writer, readers, params, share, workers)
+                    _work(writer, readers, map(per_graph, _share_graphs(params, share, workers)))
             pids.append(pid)
         # Chunk i comes from worker i modulo the worker count, so the first
         # end of stream is the end of the sweep.
-        for reader in itertools.cycle(readers):
+        for reader in itertools.cycle([r for r in readers for _ in range(CHUNK_GRAPHS)]):
             try:
-                record = pickle.load(reader)
+                result = pickle.load(reader)
             except EOFError:
                 break
-            if isinstance(record, BaseException):
-                raise record
-            records.append(record)
+            if isinstance(result, BaseException):
+                raise result
+            yield result
     except BaseException:
         import signal
 
@@ -254,29 +238,33 @@ def _forked_records(params: SweepParams, workers: int) -> list[ChunkRecord]:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(codes):
         raise RuntimeError(
-            f"a verify worker stopped before the end of its share (exit statuses {codes})"
+            f"a sweep worker stopped before the end of its share (exit statuses {codes})"
         )
-    return records
+
+
+def _verify_one(g: Multigraph) -> tuple[int, bool, list[TheoremFailure]]:
+    """The automorphism count of ``g``, whether one is odd, and every
+    disagreement."""
+    results = verify_graph(g)
+    failures = [
+        TheoremFailure(serialize_compact(g), r.automorphism.vertex_perm,
+                       r.automorphism.half_edge_perm, r.homological, r.combinatorial)
+        for r in results if not r.agree
+    ]
+    return len(results), any(r.combinatorial == -1 for r in results), failures
 
 
 def sweep_verify(params: SweepParams) -> VerificationReport:
     """Run verify_graph over the whole enumeration and aggregate.
 
-    The chunks are shared among one forked worker per available CPU; with one
-    CPU, or without ``os.fork``, the single share runs in this process.
     Disagreements are collected verbatim, never raised: a failing sweep should
     show all its counterexamples. An exception raised while verifying a graph
     reaches the caller with its type and message.
     """
     started = time.perf_counter()
-    workers = _worker_count() if hasattr(os, "fork") else 1
-    if workers > 1:
-        records = _forked_records(params, workers)
-    else:
-        records = list(_share_records(params, 0, 1))
     report = VerificationReport()
-    for graphs, automorphisms, odd, failures in records:
-        report.graphs_checked += graphs
+    for automorphisms, odd, failures in _ordered_map(params, _verify_one):
+        report.graphs_checked += 1
         report.automorphisms_checked += automorphisms
         report.odd_graph_count += odd
         report.failures.extend(failures)
@@ -285,6 +273,9 @@ def sweep_verify(params: SweepParams) -> VerificationReport:
 
 
 def census_orientable(params: SweepParams) -> Iterator[tuple[Multigraph, bool]]:
-    """Pair every enumerated graph with whether it admits an odd automorphism."""
-    for g in enumerate_multigraphs(params):
-        yield g, has_odd_automorphism(g)
+    """Pair every enumerated graph with whether it admits an odd automorphism.
+    Closing the stream early stops and reaps the workers."""
+    # The map comes first in the zip, so it runs to its end and its check.
+    with contextlib.closing(_ordered_map(params, has_odd_automorphism)) as flags:
+        for is_odd, g in zip(flags, enumerate_multigraphs(params)):
+            yield g, is_odd

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -286,3 +287,47 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "failures: 0" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "caps, lines_read",
+    [
+        (("--max-vertices", "5", "--max-edges", "6", "--max-multiplicity", "3", "--loops"), 1),
+        # all of it fits the stdout buffer, so only the final flush meets the pipe
+        (("--max-vertices", "1", "--max-edges", "1"), 0),
+    ],
+    ids=["head-n-1", "closed-before-output"],
+)
+def test_census_into_a_closed_pipe_exits_1_and_leaves_no_worker(caps, lines_read):
+    # As in `autsign census ... | head -n 1`, with stdout block-buffered as
+    # it is by default; the workers share the new session's process group.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "autsign", "census", *caps],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert lines == [b"v 1\teven\n"][:lines_read]
+    assert err == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_importing_the_cli_loads_no_pickle_signal_or_process_pool():
+    # Loaded only when a sweep forks; keeps set-up time and peak RSS flat.
+    heavy = ("pickle", "signal", "multiprocessing", "concurrent.futures")
+    code = (
+        "import sys, autsign.cli\n"
+        f"print(sorted(m for m in sys.modules for h in {heavy!r}"
+        " if m == h or m.startswith(h + '.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -17,6 +17,7 @@ from autsign import (
     sweep_verify,
     verify_graph,
 )
+from autsign.cli import main
 from autsign.sweep import CHUNK_GRAPHS, _bounded_vectors
 
 
@@ -184,14 +185,16 @@ def test_census_order_matches_enumeration():
 @pytest.fixture
 def swaps_disagree(monkeypatch):
     """Flip the homological sign of every automorphism that swaps vertices 0
-    and 1, so that the sweeps report disagreements."""
-    real = autsign.signs._homological
+    and 1, through the component parity it multiplies in, so that the sweeps
+    report disagreements. The parity is shared by a vertex-bijection block,
+    which has one vertex permutation."""
+    real = autsign.signs.component_permutation_sign
 
-    def wrong_on_swaps(g, basis, a, *rest):
-        sign = real(g, basis, a, *rest)
+    def wrong_on_swaps(g, a):
+        sign = real(g, a)
         return -sign if a.vertex_perm[:2] == (1, 0) else sign
 
-    monkeypatch.setattr(autsign.signs, "_homological", wrong_on_swaps)
+    monkeypatch.setattr(autsign.signs, "component_permutation_sign", wrong_on_swaps)
 
 
 def use_workers(monkeypatch, workers):
@@ -241,32 +244,66 @@ def _raise_unpicklable_error():
     raise exc
 
 
+_FAILURES = [
+    (_raise_lookup_error, LookupError, "^no signs for this graph$"),
+    (_raise_unpicklable_error, RuntimeError, "^LookupError: no signs for this graph$"),
+    (lambda: os._exit(3), RuntimeError, r"exit statuses \[.*\b3\b.*\]"),
+]
+_FAILURE_IDS = ["error", "unpicklable-error", "worker-exit"]
+
+
+def _census_list(params):
+    return list(census_orientable(params))
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 @pytest.mark.parametrize(
-    "fail, error, message",
-    [
-        (_raise_lookup_error, LookupError, "^no signs for this graph$"),
-        (_raise_unpicklable_error, RuntimeError, "^LookupError: no signs for this graph$"),
-        (lambda: os._exit(3), RuntimeError, r"exit statuses \[.*\b3\b.*\]"),
-    ],
-    ids=["error", "unpicklable-error", "worker-exit"],
+    "per_graph, sweep, fail, error, message",
+    [("verify_graph", sweep_verify, *f) for f in _FAILURES]
+    + [("has_odd_automorphism", _census_list, *f) for f in _FAILURES],
+    ids=_FAILURE_IDS + [f"census-{i}" for i in _FAILURE_IDS],
 )
 def test_a_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
-    monkeypatch, fail, error, message
+    monkeypatch, per_graph, sweep, fail, error, message
 ):
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
     # In the fourth chunk, while the other workers are still busy.
     target = list(enumerate_multigraphs(params))[3 * CHUNK_GRAPHS + 5]
-    real = autsign.sweep.verify_graph
+    real = getattr(autsign.sweep, per_graph)
 
-    def verify_or_fail(g, diagnostics=False):
+    def fail_on_target(g):
         if g == target:
             fail()
-        return real(g, diagnostics=diagnostics)
+        return real(g)
 
-    monkeypatch.setattr(autsign.sweep, "verify_graph", verify_or_fail)
+    monkeypatch.setattr(autsign.sweep, per_graph, fail_on_target)
     use_workers(monkeypatch, 3)
     with pytest.raises(error, match=message):
-        sweep_verify(params)
+        sweep(params)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_census_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
+    params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=1, allow_loops=True)
+    graphs = len(list(enumerate_multigraphs(params)))
+    assert -(-graphs // CHUNK_GRAPHS) > 2 * 3
+    outputs = []
+    for workers in (1, 2, 3):
+        use_workers(monkeypatch, workers)
+        assert main(["census", "--max-vertices", "4", "--max-edges", "4", "--loops"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(outputs[0].splitlines()) == graphs + 1
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+def test_closing_the_census_early_leaves_no_worker(monkeypatch):
+    use_workers(monkeypatch, 2)
+    params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
+    stream = census_orientable(params)
+    g, is_odd = next(stream)
+    stream.close()
+    assert (serialize_compact(g), is_odd) == ("v 1", False)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
