@@ -12,13 +12,9 @@ from .automorphism import (
     Automorphism,
     GroupTooLargeError,
     SignedEdgePermutation,
-    check_automorphism,
-    compose,
     cycle_notation,
     enumerate_automorphisms,
-    identity_automorphism,
     induced_signed_edge_perm,
-    invert,
     permutation_sign,
     stream_automorphisms,
 )
@@ -26,7 +22,6 @@ from .homology import (
     CycleBasis,
     IntMatrix,
     UnimodularityError,
-    boundary_matrix,
     det_bareiss,
     det_cofactor,
     det_sign,
@@ -85,13 +80,10 @@ __all__ = [
     "TheoremFailure",
     "UnimodularityError",
     "VerificationReport",
-    "boundary_matrix",
     "census_orientable",
     "chain_determinant_check",
-    "check_automorphism",
     "combinatorial_sign",
     "component_permutation_sign",
-    "compose",
     "cycle_notation",
     "det_bareiss",
     "det_cofactor",
@@ -102,10 +94,8 @@ __all__ = [
     "has_odd_automorphism",
     "homological_sign",
     "homological_sign_extended",
-    "identity_automorphism",
     "induced_cycle_matrix",
     "induced_signed_edge_perm",
-    "invert",
     "parse_graph",
     "permutation_sign",
     "random_orientation",

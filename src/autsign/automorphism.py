@@ -1,4 +1,4 @@
-"""Multigraph automorphisms: enumeration, group operations, induced edge data.
+"""Multigraph automorphisms: enumeration, permutation parity, induced edge data.
 
 An automorphism is stored as the half-edge permutation (the single source of
 truth) together with the vertex permutation it induces; the vertex images of
@@ -81,50 +81,6 @@ def cycle_notation(p: tuple[int, ...]) -> str:
             j = p[j]
         parts.append("(" + " ".join(str(x) for x in cyc) + ")")
     return "".join(parts) if parts else "()"
-
-
-def identity_automorphism(g: Multigraph) -> Automorphism:
-    return Automorphism(
-        tuple(range(g.half_edge_count)), tuple(range(g.vertex_count))
-    )
-
-
-def check_automorphism(g: Multigraph, a: Automorphism) -> None:
-    """Raise ValueError unless ``a`` really is an automorphism of ``g``."""
-    hep, vperm = a.half_edge_perm, a.vertex_perm
-    if len(hep) != g.half_edge_count or len(vperm) != g.vertex_count:
-        raise ValueError("automorphism size does not match the graph")
-    if sorted(hep) != list(range(g.half_edge_count)):
-        raise ValueError("half_edge_perm is not a permutation")
-    if sorted(vperm) != list(range(g.vertex_count)):
-        raise ValueError("vertex_perm is not a permutation")
-    for h in range(g.half_edge_count):
-        if hep[h ^ 1] != hep[h] ^ 1:
-            raise ValueError("half_edge_perm does not commute with the edge pairing")
-        if g.endpoint[hep[h]] != vperm[g.endpoint[h]]:
-            raise ValueError("half_edge_perm is incompatible with vertex_perm")
-
-
-def compose(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a after b: (a.b)(h) = a(b(h))."""
-    if len(a.half_edge_perm) != len(b.half_edge_perm) or len(a.vertex_perm) != len(
-        b.vertex_perm
-    ):
-        raise ValueError("cannot compose automorphisms of different sizes")
-    return Automorphism(
-        tuple(a.half_edge_perm[h] for h in b.half_edge_perm),
-        tuple(a.vertex_perm[v] for v in b.vertex_perm),
-    )
-
-
-def invert(a: Automorphism) -> Automorphism:
-    hep = [0] * len(a.half_edge_perm)
-    for h, img in enumerate(a.half_edge_perm):
-        hep[img] = h
-    vperm = [0] * len(a.vertex_perm)
-    for v, img in enumerate(a.vertex_perm):
-        vperm[img] = v
-    return Automorphism(tuple(hep), tuple(vperm))
 
 
 def induced_signed_edge_perm(

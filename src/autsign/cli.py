@@ -139,8 +139,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     if params is None:
         return 2
     total = odd = 0
-    for g, is_odd in census_orientable(params):
-        print(f"{serialize_compact(g)}\t{'odd' if is_odd else 'even'}")
+    for text, is_odd in census_orientable(params):
+        print(f"{text}\t{'odd' if is_odd else 'even'}")
         total += 1
         odd += is_odd
     print(f"# graphs: {total}\todd: {odd}")

@@ -1,5 +1,5 @@
-"""The graph chain complex over exact integers: boundary matrix, fundamental
-cycle bases, induced cycle-space matrices, and determinant signs.
+"""The graph chain complex over exact integers: fundamental cycle bases,
+induced cycle-space matrices, and determinant signs.
 
 No floating point anywhere; Python ints make every determinant exact.
 """
@@ -42,10 +42,6 @@ class IntMatrix:
             flat.extend(r)
         return cls(len(rows), cols, tuple(flat))
 
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -54,16 +50,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        flat: list[int] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                flat.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -92,16 +78,6 @@ class CycleBasis:
         for i, e in enumerate(self.non_tree_edges):
             row[e] = i
         return tuple(row)
-
-
-def boundary_matrix(g: Multigraph, o: Orientation) -> IntMatrix:
-    """|V| x |E| boundary: column e is head(e) - tail(e); loops give zero columns."""
-    n, m = g.vertex_count, g.edge_count
-    flat = [0] * (n * m)
-    for e in range(m):
-        flat[g.endpoint[o.head(e)] * m + e] += 1
-        flat[g.endpoint[o.tail[e]] * m + e] -= 1
-    return IntMatrix(n, m, tuple(flat))
 
 
 def _tree_path(

@@ -6,13 +6,14 @@ out one at a time, ordered by vertex count and then lexicographically by the
 upper-triangular multiplicity vector, so runs are reproducible bit for bit.
 
 ``sweep_verify`` and ``census_orientable`` share one ordered map: chunks of
-CHUNK_GRAPHS graphs are dealt round-robin to one forked worker per available
-CPU, and the parent reads the per-graph results back in enumeration order, so
-the output does not depend on the worker count.
+CHUNK_GRAPHS graphs are dealt round-robin to forked workers, one per available
+CPU but never more than there are chunks, and the parent reads the per-graph
+results back in enumeration order, so the output does not depend on the worker
+count. A census worker sends each graph's one-line text with its flag, so the
+parent builds no graph.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import time
@@ -133,17 +134,20 @@ def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, 
             yield n, slots, vector
 
 
-def _build(n: int, slots: Slots, vector: tuple[int, ...]) -> Multigraph:
-    edges: list[tuple[int, int]] = []
-    for pair, m in zip(slots, vector):
-        edges.extend([pair] * m)
-    return Multigraph.from_edges(n, edges)
+def _share_graphs(params: SweepParams, share: int, shares: int) -> Iterator[Multigraph]:
+    """The graphs of the chunks whose index is ``share`` modulo ``shares``;
+    only these graphs are built."""
+    for i, (n, slots, vector) in enumerate(_kept_vectors(params)):
+        if i // CHUNK_GRAPHS % shares == share:
+            edges: list[tuple[int, int]] = []
+            for pair, m in zip(slots, vector):
+                edges.extend([pair] * m)
+            yield Multigraph.from_edges(n, edges)
 
 
 def enumerate_multigraphs(params: SweepParams) -> Iterator[Multigraph]:
     """All labeled multigraphs within the caps, streamed deterministically."""
-    for n, slots, vector in _kept_vectors(params):
-        yield _build(n, slots, vector)
+    return _share_graphs(params, 0, 1)
 
 
 def _worker_count() -> int:
@@ -152,14 +156,6 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _share_graphs(params: SweepParams, share: int, shares: int) -> Iterator[Multigraph]:
-    """The graphs of the chunks whose index is ``share`` modulo ``shares``;
-    only these graphs are built."""
-    for i, (n, slots, vector) in enumerate(_kept_vectors(params)):
-        if i // CHUNK_GRAPHS % shares == share:
-            yield _build(n, slots, vector)
 
 
 def _work(out: BinaryIO, read_ends: list[BinaryIO], results: Iterator[object]) -> NoReturn:
@@ -193,12 +189,18 @@ def _ordered_map(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> I
     """``per_graph(g)`` for every graph of the enumeration, in its order.
 
     Each forked worker pipes one result per graph of its chunks, and the
-    parent reads CHUNK_GRAPHS results from each pipe in turn; with one CPU, or
-    without ``os.fork``, this is a plain ``map``. An exception in ``per_graph``
+    parent reads CHUNK_GRAPHS results from each pipe in turn. No more workers
+    are forked than there are chunks; with one chunk, one CPU, or without
+    ``os.fork``, this is a plain ``map``. An exception in ``per_graph``
     reaches the consumer with its type and message. Every worker is reaped,
     also when the map is closed early; the exit statuses are checked at its end.
     """
     workers = _worker_count() if hasattr(os, "fork") else 1
+    if workers > 1:
+        # The parent counts only as far as it takes to fill `workers` chunks.
+        kept = sum(1 for _ in itertools.islice(
+            _kept_vectors(params), CHUNK_GRAPHS * (workers - 1) + 1))
+        workers = min(workers, -(-kept // CHUNK_GRAPHS))
     if workers == 1:
         yield from map(per_graph, enumerate_multigraphs(params))
         return
@@ -272,10 +274,12 @@ def sweep_verify(params: SweepParams) -> VerificationReport:
     return report
 
 
-def census_orientable(params: SweepParams) -> Iterator[tuple[Multigraph, bool]]:
-    """Pair every enumerated graph with whether it admits an odd automorphism.
-    Closing the stream early stops and reaps the workers."""
-    # The map comes first in the zip, so it runs to its end and its check.
-    with contextlib.closing(_ordered_map(params, has_odd_automorphism)) as flags:
-        for is_odd, g in zip(flags, enumerate_multigraphs(params)):
-            yield g, is_odd
+def _census_one(g: Multigraph) -> tuple[str, bool]:
+    """The one-line text of ``g`` and whether it has an odd automorphism."""
+    return serialize_compact(g), has_odd_automorphism(g)
+
+
+def census_orientable(params: SweepParams) -> Iterator[tuple[str, bool]]:
+    """Pair the one-line text of every enumerated graph with whether it admits
+    an odd automorphism. Closing the stream early stops and reaps the workers."""
+    return _ordered_map(params, _census_one)

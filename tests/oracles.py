@@ -1,14 +1,16 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles and test-only helpers.
 
 Nothing here shares code with the library's production paths: automorphisms
 come from filtering all half-edge permutations, determinants from the
-permutation-sum formula, parities from inversion counting.
+permutation-sum formula, parities from inversion counting. The group
+operations, the boundary matrix and the matrix product serve only the tests'
+algebraic laws, so they live here too.
 """
 from __future__ import annotations
 
 import itertools
 
-from autsign import IntMatrix, Multigraph
+from autsign import Automorphism, IntMatrix, Multigraph, Orientation
 
 
 def brute_force_automorphisms(g: Multigraph) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -72,3 +74,72 @@ def det_permutation_sum(m: IntMatrix) -> int:
             term *= m.entry(i, p[i])
         total += term
     return total
+
+
+def identity_automorphism(g: Multigraph) -> Automorphism:
+    return Automorphism(
+        tuple(range(g.half_edge_count)), tuple(range(g.vertex_count))
+    )
+
+
+def check_automorphism(g: Multigraph, a: Automorphism) -> None:
+    """Raise ValueError unless ``a`` really is an automorphism of ``g``."""
+    hep, vperm = a.half_edge_perm, a.vertex_perm
+    if len(hep) != g.half_edge_count or len(vperm) != g.vertex_count:
+        raise ValueError("automorphism size does not match the graph")
+    if sorted(hep) != list(range(g.half_edge_count)):
+        raise ValueError("half_edge_perm is not a permutation")
+    if sorted(vperm) != list(range(g.vertex_count)):
+        raise ValueError("vertex_perm is not a permutation")
+    for h in range(g.half_edge_count):
+        if hep[h ^ 1] != hep[h] ^ 1:
+            raise ValueError("half_edge_perm does not commute with the edge pairing")
+        if g.endpoint[hep[h]] != vperm[g.endpoint[h]]:
+            raise ValueError("half_edge_perm is incompatible with vertex_perm")
+
+
+def compose(a: Automorphism, b: Automorphism) -> Automorphism:
+    """a after b: (a.b)(h) = a(b(h))."""
+    if len(a.half_edge_perm) != len(b.half_edge_perm) or len(a.vertex_perm) != len(
+        b.vertex_perm
+    ):
+        raise ValueError("cannot compose automorphisms of different sizes")
+    return Automorphism(
+        tuple(a.half_edge_perm[h] for h in b.half_edge_perm),
+        tuple(a.vertex_perm[v] for v in b.vertex_perm),
+    )
+
+
+def invert(a: Automorphism) -> Automorphism:
+    hep = [0] * len(a.half_edge_perm)
+    for h, img in enumerate(a.half_edge_perm):
+        hep[img] = h
+    vperm = [0] * len(a.vertex_perm)
+    for v, img in enumerate(a.vertex_perm):
+        vperm[img] = v
+    return Automorphism(tuple(hep), tuple(vperm))
+
+
+def boundary_matrix(g: Multigraph, o: Orientation) -> IntMatrix:
+    """|V| x |E| boundary: column e is head(e) - tail(e); loops give zero columns."""
+    n, m = g.vertex_count, g.edge_count
+    flat = [0] * (n * m)
+    for e in range(m):
+        flat[g.endpoint[o.head(e)] * m + e] += 1
+        flat[g.endpoint[o.tail[e]] * m + e] -= 1
+    return IntMatrix(n, m, tuple(flat))
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matrix product")
+    flat: list[int] = []
+    for i in range(a.rows):
+        ri = a.row(i)
+        for j in range(b.cols):
+            flat.append(sum(ri[k] * b.entry(k, j) for k in range(a.cols)))
+    return IntMatrix(a.rows, b.cols, tuple(flat))

@@ -16,7 +16,6 @@ from autsign import (
     SweepParams,
     chain_determinant_check,
     combinatorial_sign,
-    compose,
     det_bareiss,
     det_cofactor,
     enumerate_automorphisms,
@@ -34,6 +33,7 @@ from autsign import (
     verify_graph,
 )
 from autsign.cli import main
+from oracles import compose
 
 CONNECTED_SWEEP = SweepParams(
     max_vertices=5,

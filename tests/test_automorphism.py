@@ -12,14 +12,10 @@ from autsign import (
     Automorphism,
     GroupTooLargeError,
     SweepParams,
-    check_automorphism,
-    compose,
     cycle_notation,
     enumerate_automorphisms,
     enumerate_multigraphs,
-    identity_automorphism,
     induced_signed_edge_perm,
-    invert,
     parse_graph,
     permutation_sign,
     reference_orientation,
@@ -31,7 +27,11 @@ from conftest import GOLDEN_TEXTS, multigraphs
 from oracles import (
     adjacency_preserving_vertex_perms,
     brute_force_automorphisms,
+    check_automorphism,
+    compose,
+    identity_automorphism,
     inversion_count_sign,
+    invert,
 )
 
 EXPECTED_COUNTS = {

@@ -1,13 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from autsign import (
+    Multigraph,
     chain_determinant_check,
     combinatorial_sign,
     component_permutation_sign,
-    compose,
     det_sign,
     enumerate_automorphisms,
     fundamental_cycles,
@@ -21,9 +22,11 @@ from autsign import (
     random_orientation,
     reference_orientation,
     spanning_forest,
+    stream_automorphisms,
     verify_graph,
 )
 from conftest import GOLDEN_TEXTS, multigraphs
+from oracles import compose, invert
 
 # sign of every automorphism, in enumeration order, derived independently by
 # brute force over all half-edge permutations plus the chain determinants
@@ -220,8 +223,6 @@ def test_sign_homomorphism_property(golden):
 
 
 def test_inverse_consistency(golden):
-    from autsign import invert
-
     for g in golden.values():
         o = reference_orientation(g)
         basis = fundamental_cycles(g, o, spanning_forest(g))
@@ -272,3 +273,21 @@ def test_homological_sign_basis_independent(g):
         if reference_signs is None:
             reference_signs = signs
         assert signs == reference_signs
+
+
+@given(multigraphs(max_vertices=4, max_edges=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relabeling_keeps_the_group_order_signs_and_census_flag(g, data):
+    n, edges = g.vertex_count, list(g.edges())
+    relabel = data.draw(st.permutations(range(n)))
+    order = data.draw(st.permutations(range(len(edges))))
+    swaps = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    moved = []
+    for e, swap in zip(order, swaps):
+        a, b = edges[e]
+        moved.append((relabel[b], relabel[a]) if swap else (relabel[a], relabel[b]))
+    h = Multigraph.from_edges(n, moved)
+    assert stream_automorphisms(h)[0] == stream_automorphisms(g)[0]
+    signs = lambda x: Counter(r.combinatorial for r in verify_graph(x))
+    assert signs(h) == signs(g)
+    assert has_odd_automorphism(h) is has_odd_automorphism(g)

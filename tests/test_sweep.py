@@ -157,7 +157,7 @@ def test_census_matches_expected_flags():
     params = SweepParams(
         max_vertices=3, max_edges=3, max_multiplicity=1, connected_only=True
     )
-    flags = {serialize_compact(g): odd for g, odd in census_orientable(params)}
+    flags = dict(census_orientable(params))
     assert flags["v 3; e 0 1; e 0 2; e 1 2"] is False  # triangle
     assert flags["v 3; e 0 1; e 1 2"] is True  # path3
     assert flags["v 2; e 0 1"] is False  # single edge
@@ -170,7 +170,9 @@ def test_census_flags_match_the_exhaustive_signs_on_the_connected_caps():
         connected_only=True,
     )
     odd = 0
-    for g, is_odd in census_orientable(params):
+    for g, (text, is_odd) in zip(enumerate_multigraphs(params), census_orientable(params),
+                                 strict=True):
+        assert text == serialize_compact(g)
         assert is_odd is any(r.combinatorial == -1 for r in verify_graph(g)), g
         odd += is_odd
     assert odd == 9686
@@ -178,8 +180,8 @@ def test_census_flags_match_the_exhaustive_signs_on_the_connected_caps():
 
 def test_census_order_matches_enumeration():
     params = SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2, allow_loops=True)
-    census_graphs = [g for g, _ in census_orientable(params)]
-    assert census_graphs == list(enumerate_multigraphs(params))
+    census_texts = [text for text, _ in census_orientable(params)]
+    assert census_texts == [serialize_compact(g) for g in enumerate_multigraphs(params)]
 
 
 @pytest.fixture
@@ -202,6 +204,8 @@ def use_workers(monkeypatch, workers):
 
 
 def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch, swaps_disagree):
+    # one graph per chunk, so that the 4 graphs still reach a second worker
+    monkeypatch.setattr(autsign.sweep, "CHUNK_GRAPHS", 1)
     use_workers(monkeypatch, 2)
     report = sweep_verify(SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2))
     assert report.graphs_checked == 4
@@ -297,13 +301,48 @@ def test_census_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+def test_the_census_parent_walks_only_the_vectors_that_size_the_workers(monkeypatch):
+    params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
+    graphs = len(list(enumerate_multigraphs(params)))
+    assert graphs > 2 * CHUNK_GRAPHS
+    parent = os.getpid()
+    walked = 0
+    real = autsign.sweep._kept_vectors
+
+    def counted(params):
+        nonlocal walked
+        for item in real(params):
+            walked += os.getpid() == parent
+            yield item
+
+    monkeypatch.setattr(autsign.sweep, "_kept_vectors", counted)
+    use_workers(monkeypatch, 2)
+    assert len(list(census_orientable(params))) == graphs
+    assert walked <= CHUNK_GRAPHS + 1
+
+
+@pytest.mark.parametrize("command, out", [
+    ("verify", "graphs_checked: 1\nautomorphisms_checked: 1\nodd_graph_count: 0\nfailures: 0\n"),
+    ("census", "v 1\teven\n# graphs: 1\todd: 0\n"),
+], ids=["verify", "census"])
+def test_a_one_chunk_sweep_forks_no_worker(monkeypatch, capsys, command, out):
+    def no_fork():
+        raise AssertionError("a sweep of one chunk forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    use_workers(monkeypatch, 8)
+    assert main([command, "--max-vertices", "1", "--max-edges", "1"]) == 0
+    assert capsys.readouterr().out == out
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 def test_closing_the_census_early_leaves_no_worker(monkeypatch):
     use_workers(monkeypatch, 2)
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
     stream = census_orientable(params)
-    g, is_odd = next(stream)
+    first = next(stream)
     stream.close()
-    assert (serialize_compact(g), is_odd) == ("v 1", False)
+    assert first == ("v 1", False)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
