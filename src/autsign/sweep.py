@@ -6,11 +6,10 @@ out one at a time, ordered by vertex count and then lexicographically by the
 upper-triangular multiplicity vector, so runs are reproducible bit for bit.
 
 ``sweep_verify`` and ``census_orientable`` share one ordered map: chunks of
-CHUNK_GRAPHS graphs are dealt round-robin to forked workers, one per available
-CPU but never more than there are chunks, and the parent reads the per-graph
-results back in enumeration order, so the output does not depend on the worker
-count. A census worker sends each graph's one-line text with its flag, so the
-parent builds no graph.
+CHUNK_GRAPHS graphs are dealt round-robin to one forked worker per available
+CPU, and the parent reads the per-graph results back in enumeration order, so
+the output does not depend on the worker count. A census worker sends each
+graph's one-line text with its flag, so the parent builds no graph.
 """
 from __future__ import annotations
 
@@ -189,18 +188,12 @@ def _ordered_map(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> I
     """``per_graph(g)`` for every graph of the enumeration, in its order.
 
     Each forked worker pipes one result per graph of its chunks, and the
-    parent reads CHUNK_GRAPHS results from each pipe in turn. No more workers
-    are forked than there are chunks; with one chunk, one CPU, or without
-    ``os.fork``, this is a plain ``map``. An exception in ``per_graph``
+    parent reads CHUNK_GRAPHS results from each pipe in turn; with one CPU, or
+    without ``os.fork``, this is a plain ``map``. An exception in ``per_graph``
     reaches the consumer with its type and message. Every worker is reaped,
     also when the map is closed early; the exit statuses are checked at its end.
     """
     workers = _worker_count() if hasattr(os, "fork") else 1
-    if workers > 1:
-        # The parent counts only as far as it takes to fill `workers` chunks.
-        kept = sum(1 for _ in itertools.islice(
-            _kept_vectors(params), CHUNK_GRAPHS * (workers - 1) + 1))
-        workers = min(workers, -(-kept // CHUNK_GRAPHS))
     if workers == 1:
         yield from map(per_graph, enumerate_multigraphs(params))
         return

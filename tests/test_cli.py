@@ -178,10 +178,8 @@ def test_compute_stops_at_the_group_cap_under_a_memory_limit(graph_file):
 
 @pytest.mark.parametrize("command, lines_before", [("verify", 0), ("census", 5)])
 def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_before):
-    # the sweeps meet the error in a worker and re-raise it in the parent;
-    # with one graph per chunk, the 6 graphs still reach a second worker
+    # the sweeps meet the error in a worker and re-raise it in the parent
     monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
-    monkeypatch.setattr(autsign.sweep, "CHUNK_GRAPHS", 1)
     monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 1000)
     # one vertex with 5 loops has 5! * 2**5 = 3840 automorphisms
     rc = main([command, "--max-vertices", "1", "--max-edges", "5",

@@ -204,8 +204,6 @@ def use_workers(monkeypatch, workers):
 
 
 def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch, swaps_disagree):
-    # one graph per chunk, so that the 4 graphs still reach a second worker
-    monkeypatch.setattr(autsign.sweep, "CHUNK_GRAPHS", 1)
     use_workers(monkeypatch, 2)
     report = sweep_verify(SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2))
     assert report.graphs_checked == 4
@@ -301,12 +299,10 @@ def test_census_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
-def test_the_census_parent_walks_only_the_vectors_that_size_the_workers(monkeypatch):
+def test_the_census_parent_walks_no_vector(monkeypatch):
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
     graphs = len(list(enumerate_multigraphs(params)))
-    assert graphs > 2 * CHUNK_GRAPHS
     parent = os.getpid()
     walked = 0
     real = autsign.sweep._kept_vectors
@@ -320,21 +316,8 @@ def test_the_census_parent_walks_only_the_vectors_that_size_the_workers(monkeypa
     monkeypatch.setattr(autsign.sweep, "_kept_vectors", counted)
     use_workers(monkeypatch, 2)
     assert len(list(census_orientable(params))) == graphs
-    assert walked <= CHUNK_GRAPHS + 1
+    assert walked == 0
 
-
-@pytest.mark.parametrize("command, out", [
-    ("verify", "graphs_checked: 1\nautomorphisms_checked: 1\nodd_graph_count: 0\nfailures: 0\n"),
-    ("census", "v 1\teven\n# graphs: 1\todd: 0\n"),
-], ids=["verify", "census"])
-def test_a_one_chunk_sweep_forks_no_worker(monkeypatch, capsys, command, out):
-    def no_fork():
-        raise AssertionError("a sweep of one chunk forked a worker")
-
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
-    use_workers(monkeypatch, 8)
-    assert main([command, "--max-vertices", "1", "--max-edges", "1"]) == 0
-    assert capsys.readouterr().out == out
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 def test_closing_the_census_early_leaves_no_worker(monkeypatch):
