@@ -7,7 +7,6 @@ per-edge orientation signs are derived on demand.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -15,8 +14,8 @@ from typing import Iterator
 from .multigraph import Multigraph, Orientation
 
 # The largest group stream_automorphisms hands out. What is held is the vertex
-# bijections plus one block's half-edge tuples, so the cap bounds time. Reaching
-# it on 12 isolated vertices (12! automorphisms) takes about 5 s and 90 MB on a
+# bijections and the one lift being built, so the cap bounds time. Reaching it
+# on 12 isolated vertices (12! automorphisms) takes about 5 s and 90 MB on a
 # 2-vCPU VM, well under a 1 GiB address-space limit. Every pinned group is far
 # below it (the largest, one vertex with 6 loops, has 46080 elements).
 MAX_AUTOMORPHISMS = 500_000
@@ -98,66 +97,48 @@ def induced_signed_edge_perm(
     return SignedEdgePermutation(tuple(edge_perm), tuple(edge_sign))
 
 
-class _HalfEdgeExtensions:
-    """Per-graph tables for extending a vertex bijection to half-edges.
+def _lifts(
+    g: Multigraph, ends: dict[tuple[int, int], list[int]], vperm: tuple[int, ...]
+) -> Iterator[Automorphism]:
+    """The automorphisms over a multiplicity-preserving vertex bijection, in
+    lexicographic order of half_edge_perm. ``ends[(a, b)]`` lists, ascending,
+    the half-edges at a whose edge ends at b: both halves of each loop at a
+    when b == a.
 
-    Parallel edges may be matched in any order within their endpoint-pair
-    class; loops additionally may swap their two halves. Non-loop half-edge
-    images are forced by the vertex images.
+    Edge e's first half may go to any half-edge h in
+    ends[(vperm[a], vperm[b])], where a and b are e's ends, and h fixes the
+    rest: hep[2e] = h and hep[2e + 1] = h ^ 1. So the lexicographic order is
+    depth-first order over the edges in index order, each trying those h of
+    still free edges in ascending order: for a loop, the unflipped image
+    before the flipped one. Only the current path is held.
     """
-
-    def __init__(self, g: Multigraph) -> None:
-        classes: dict[tuple[int, int], list[int]] = {}
-        for e, (a, b) in enumerate(g.edges()):
-            classes.setdefault((a, b) if a <= b else (b, a), []).append(e)
-        self.endpoint = g.endpoint
-        self.classes = sorted(classes.items())
-        loops = [e for e in range(g.edge_count) if g.is_loop(e)]
-        # Every vertex bijection has this many extensions and the identity is
-        # one of them, so a block above the cap puts the group above it.
-        block = 2 ** len(loops)
-        for _, edges in self.classes:
-            block *= math.factorial(len(edges))
-        if block > MAX_AUTOMORPHISMS:
-            raise _too_large()
-        self.block = block
-        self.matchings = {
-            pair: list(itertools.permutations(edges)) for pair, edges in self.classes
-        }
-        self.loop_flips = [
-            [e for e, flip in zip(loops, flips) if flip]
-            for flips in itertools.product((0, 1), repeat=len(loops))
-        ]
-
-    def extend(self, vperm: tuple[int, ...]) -> Iterator[Automorphism]:
-        """The automorphisms over a multiplicity-preserving vertex bijection,
-        sorted by half-edge permutation. Only the block's half-edge tuples are
-        held; each is wrapped as it is yielded."""
-        endpoint = self.endpoint
-        choice_lists = []
-        for (a, b), _ in self.classes:
-            qa, qb = vperm[a], vperm[b]
-            choice_lists.append(self.matchings[(qa, qb) if qa <= qb else (qb, qa)])
-        block: list[tuple[int, ...]] = []
-        for assignment in itertools.product(*choice_lists):
-            base = [0] * len(endpoint)
-            for (_, edges), targets in zip(self.classes, assignment):
-                for e, f in zip(edges, targets):
-                    # a loop takes the un-flipped matching here; flips come below
-                    if endpoint[2 * f] == vperm[endpoint[2 * e]]:
-                        base[2 * e] = 2 * f
-                        base[2 * e + 1] = 2 * f + 1
-                    else:
-                        base[2 * e] = 2 * f + 1
-                        base[2 * e + 1] = 2 * f
-            for flipped in self.loop_flips:
-                hep = base.copy()
-                for e in flipped:
-                    hep[2 * e], hep[2 * e + 1] = hep[2 * e + 1], hep[2 * e]
-                block.append(tuple(hep))
-        block.sort()
-        for hep in block:
-            yield Automorphism(hep, vperm)
+    m = g.edge_count
+    if m == 0:
+        yield Automorphism((), vperm)
+        return
+    endpoint = g.endpoint
+    targets = [ends[(vperm[endpoint[h]], vperm[endpoint[h + 1]])] for h in range(0, 2 * m, 2)]
+    hep = [0] * (2 * m)
+    taken = [False] * m
+    # stack[e] walks targets[e]; the edges below the top are placed and taken
+    stack = [iter(targets[0])]
+    while stack:
+        e = len(stack) - 1
+        for h in stack[e]:
+            if taken[h >> 1]:
+                continue
+            hep[2 * e] = h
+            hep[2 * e + 1] = h ^ 1
+            if e == m - 1:
+                yield Automorphism(tuple(hep), vperm)
+                continue
+            taken[h >> 1] = True
+            stack.append(iter(targets[e + 1]))
+            break
+        else:
+            stack.pop()
+            if e:
+                taken[hep[2 * e - 2] >> 1] = False
 
 
 def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
@@ -207,18 +188,28 @@ def stream_automorphisms(g: Multigraph) -> tuple[int, Iterator[Automorphism]]:
     Each multiplicity-preserving vertex bijection has a block of lifts, all
     blocks of one size. The bijections are collected first, in lexicographic
     order, so GroupTooLargeError is raised here, before any automorphism is
-    built; the stream then builds and sorts one block at a time. The
-    automorphisms of a block share one vertex_perm tuple.
+    built; the stream then builds each bijection's lifts one at a time,
+    already in order. The automorphisms of a block share one vertex_perm tuple.
     """
-    extensions = _HalfEdgeExtensions(g)
-    most = MAX_AUTOMORPHISMS // extensions.block
+    # A class of k parallel edges is matched in k! ways and each loop may
+    # also flip, so every vertex bijection has this many lifts. The identity
+    # is one of them, so a block above the cap puts the group above it.
+    block = 1
+    for (a, b), k in g.edge_multiplicities.items():
+        block *= math.factorial(k) * (2**k if a == b else 1)
+    if block > MAX_AUTOMORPHISMS:
+        raise _too_large()
+    most = MAX_AUTOMORPHISMS // block
     bijections: list[tuple[int, ...]] = []
     for vperm in _vertex_bijections(g):
         if len(bijections) == most:
             raise _too_large()
         bijections.append(vperm)
-    order = len(bijections) * extensions.block
-    return order, (a for vperm in bijections for a in extensions.extend(vperm))
+    order = len(bijections) * block
+    ends: dict[tuple[int, int], list[int]] = {}
+    for h, v in enumerate(g.endpoint):
+        ends.setdefault((v, g.endpoint[h ^ 1]), []).append(h)
+    return order, (a for vperm in bijections for a in _lifts(g, ends, vperm))
 
 
 def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import tracemalloc
 import weakref
 
 import networkx as nx
@@ -11,6 +13,7 @@ import autsign.automorphism
 from autsign import (
     Automorphism,
     GroupTooLargeError,
+    Multigraph,
     SweepParams,
     cycle_notation,
     enumerate_automorphisms,
@@ -171,7 +174,45 @@ def test_group_order_matches_networkx_times_the_kernel(g):
     order, auts = stream_automorphisms(g)
     assert order == expected
     if order <= 10_000:
-        assert sum(1 for _ in auts) == order
+        keys = [(a.vertex_perm, a.half_edge_perm) for a in auts]
+        assert len(keys) == order
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
+# random edge lists interleave the parallel classes and list endpoints both ways
+@given(multigraphs(max_vertices=4, max_edges=4))
+def test_stream_is_the_sorted_brute_force_group(g):
+    order, auts = stream_automorphisms(g)
+    keys = [(a.vertex_perm, a.half_edge_perm) for a in auts]
+    assert keys == sorted(brute_force_automorphisms(g))
+    assert order == len(keys)
+
+
+def test_the_stream_holds_no_block():
+    # one vertex with 6 loops: one block of 46080 lifts
+    g = parse_graph("v 1\n" + "e 0 0\n" * 6)
+    tracemalloc.start()
+    try:
+        order, auts = stream_automorphisms(g)
+        first, second = next(auts), next(auts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert order == 46080
+    assert first.half_edge_perm == tuple(range(12))
+    assert second.half_edge_perm == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10)
+    assert peak < 100_000
+
+
+def test_a_graph_longer_than_the_recursion_limit():
+    # the 10th power of the 120-vertex path: only the reversal maps it to itself
+    n = 120
+    g = Multigraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + 11, n))])
+    assert g.edge_count == 1145 > sys.getrecursionlimit()
+    order, auts = stream_automorphisms(g)
+    auts = list(auts)
+    assert order == len(auts) == 2
+    assert auts[1].vertex_perm == tuple(reversed(range(n)))
 
 
 def test_identity_first_and_lexicographic_order(golden):
