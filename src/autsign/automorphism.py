@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .multigraph import Multigraph, Orientation
 
@@ -181,15 +181,22 @@ def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
             v -= 1
 
 
-def stream_automorphisms(g: Multigraph) -> tuple[int, Iterator[Automorphism]]:
-    """The group's order and a lazy stream of its elements, identity first,
-    then ordered by (vertex_perm, half_edge_perm).
+def automorphism_shares(
+    g: Multigraph, chunk: int
+) -> tuple[int, Callable[[int, int], Iterator[Automorphism]]]:
+    """The group's order and its share function.
+
+    Cut the stream of stream_automorphisms into chunks of ``chunk``
+    consecutive elements. ``share(k, shares)`` yields, in stream order, the
+    elements of the chunks whose index is k modulo ``shares``: ``share(0, 1)``
+    is the whole stream. A bijection's block is built only when one of its
+    lifts falls in such a chunk.
 
     Each multiplicity-preserving vertex bijection has a block of lifts, all
-    blocks of one size. The bijections are collected first, in lexicographic
-    order, so GroupTooLargeError is raised here, before any automorphism is
-    built; the stream then builds each bijection's lifts one at a time,
-    already in order. The automorphisms of a block share one vertex_perm tuple.
+    blocks of one size. The bijections are collected here, in lexicographic
+    order, so GroupTooLargeError is raised before any automorphism is built;
+    a share then builds each bijection's lifts one at a time, already in
+    order. The automorphisms of a block share one vertex_perm tuple.
     """
     # A class of k parallel edges is matched in k! ways and each loop may
     # also flip, so every vertex bijection has this many lifts. The identity
@@ -205,11 +212,33 @@ def stream_automorphisms(g: Multigraph) -> tuple[int, Iterator[Automorphism]]:
         if len(bijections) == most:
             raise _too_large()
         bijections.append(vperm)
-    order = len(bijections) * block
     ends: dict[tuple[int, int], list[int]] = {}
     for h, v in enumerate(g.endpoint):
         ends.setdefault((v, g.endpoint[h ^ 1]), []).append(h)
-    return order, (a for vperm in bijections for a in _lifts(g, ends, vperm))
+
+    def share(k: int, shares: int) -> Iterator[Automorphism]:
+        for b, vperm in enumerate(bijections):
+            # the block's lifts fall in chunks first..last
+            start = b * block
+            first, last = start // chunk, (start + block - 1) // chunk
+            if (k - first) % shares > last - first:
+                continue
+            lifts = _lifts(g, ends, vperm)
+            if shares == 1 or first == last:
+                yield from lifts
+            else:
+                yield from (a for i, a in enumerate(lifts, start) if i // chunk % shares == k)
+
+    return len(bijections) * block, share
+
+
+def stream_automorphisms(g: Multigraph) -> tuple[int, Iterator[Automorphism]]:
+    """The group's order and a lazy stream of its elements, identity first,
+    then ordered by (vertex_perm, half_edge_perm): the one share of
+    automorphism_shares, which raises GroupTooLargeError before any element
+    is built."""
+    order, share = automorphism_shares(g, 1)
+    return order, share(0, 1)
 
 
 def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:

@@ -1,6 +1,10 @@
 """Command-line front end: compute, verify, census, selftest.
 
-All stdout payloads are deterministic; timing goes to stderr only.
+All stdout payloads are deterministic; timing goes to stderr only. compute,
+verify and census run on the sweep module's ordered map: compute parses the
+graph, collects its vertex bijections and prints the header in this process,
+and the workers format the automorphism lines, one text per chunk, which are
+written in automorphism order.
 """
 from __future__ import annotations
 
@@ -12,11 +16,12 @@ import random
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 from .automorphism import (
     GroupTooLargeError,
+    automorphism_shares,
     cycle_notation,
-    stream_automorphisms,
 )
 from .homology import IntMatrix, det_bareiss, det_cofactor, fundamental_cycles
 from .multigraph import (
@@ -29,16 +34,39 @@ from .multigraph import (
     spanning_forest,
 )
 from .signs import (
+    SignComparison,
     combinatorial_sign,
     comparisons,
     homological_sign_extended,
     verify_graph,
 )
-from .sweep import SweepParams, census_orientable, sweep_verify
+from .sweep import CHUNK_GRAPHS, SweepParams, _ordered_map, census_orientable, sweep_verify
 
 
 def _fmt_sign(s: int) -> str:
     return f"{s:+d}"
+
+
+def _compute_line(i: int, vperm_cycles: str, r: SignComparison) -> str:
+    """The line of `compute` for automorphism i, with its newline."""
+    eps = "".join("+" if s > 0 else "-" for s in r.signed_edge_perm.edge_sign)
+    line = (
+        f"[{i}] vperm={vperm_cycles}"
+        f" v_sign={_fmt_sign(r.vertex_parity)}"
+        f" e_sign={_fmt_sign(r.edge_parity)}"
+        f" eps={eps or '(none)'}"
+        f" hom={_fmt_sign(r.homological)} comb={_fmt_sign(r.combinatorial)}"
+        f" agree={'yes' if r.agree else 'NO'}"
+    )
+    if r.factors is not None:
+        f = r.factors
+        line += (
+            f" det_edges={_fmt_sign(f.edge_space_det)}"
+            f" det_vertices={_fmt_sign(f.vertex_space_det)}"
+            f" det_cycles={_fmt_sign(f.cycle_space_det)}"
+            f" comp_sign={_fmt_sign(f.component_sign)}"
+        )
+    return line + "\n"
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -54,38 +82,34 @@ def cmd_compute(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    order, auts = stream_automorphisms(g)
+    order, share = automorphism_shares(g, CHUNK_GRAPHS)
     print(f"graph: {serialize_compact(g)}")
     print(
         f"vertices: {g.vertex_count}  edges: {g.edge_count}  "
         f"components: {g.components.component_count}  cycle_rank: {g.cycle_rank}"
     )
     print(f"automorphisms: {order}")
-    # Without --extended the graph is connected, where the component sign is +1.
-    vperm = None
-    for i, r in enumerate(comparisons(g, auts, args.diagnostics)):
-        if r.automorphism.vertex_perm is not vperm:
-            # once per vertex-bijection block
-            vperm = r.automorphism.vertex_perm
-            vperm_cycles = cycle_notation(vperm)
-        eps = "".join("+" if s > 0 else "-" for s in r.signed_edge_perm.edge_sign)
-        line = (
-            f"[{i}] vperm={vperm_cycles}"
-            f" v_sign={_fmt_sign(r.vertex_parity)}"
-            f" e_sign={_fmt_sign(r.edge_parity)}"
-            f" eps={eps or '(none)'}"
-            f" hom={_fmt_sign(r.homological)} comb={_fmt_sign(r.combinatorial)}"
-            f" agree={'yes' if r.agree else 'NO'}"
-        )
-        if r.factors is not None:
-            f = r.factors
-            line += (
-                f" det_edges={_fmt_sign(f.edge_space_det)}"
-                f" det_vertices={_fmt_sign(f.vertex_space_det)}"
-                f" det_cycles={_fmt_sign(f.cycle_space_det)}"
-                f" comp_sign={_fmt_sign(f.component_sign)}"
-            )
-        print(line)
+    chunks = -(-order // CHUNK_GRAPHS)
+
+    def share_texts(k: int, shares: int) -> Iterator[str]:
+        """The lines of the chunks whose index is k modulo ``shares``, one
+        text per chunk."""
+        # Without --extended the graph is connected, where the component sign is +1.
+        records = comparisons(g, share(k, shares), args.diagnostics)
+        vperm = None
+        for chunk in range(k, chunks, shares):
+            lines = []
+            first = chunk * CHUNK_GRAPHS
+            for i, r in zip(range(first, min(first + CHUNK_GRAPHS, order)), records):
+                if r.automorphism.vertex_perm is not vperm:
+                    # once per vertex-bijection block
+                    vperm = r.automorphism.vertex_perm
+                    vperm_cycles = cycle_notation(vperm)
+                lines.append(_compute_line(i, vperm_cycles, r))
+            yield "".join(lines)
+
+    for text in _ordered_map(share_texts, chunks):
+        sys.stdout.write(text)
     return 0
 
 

@@ -192,10 +192,14 @@ def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignCompariso
 def has_odd_automorphism(g: Multigraph) -> bool:
     """True iff some automorphism has sign -1.
 
-    Uses the combinatorial route only (no homology needed); the agreement of
-    the two routes is what verify_graph certifies. The group is streamed one
-    lift at a time, so no lift is built past the first odd automorphism.
+    A graph with a loop has one: flipping that loop alone fixes every vertex
+    and every edge and reverses one arrow. Otherwise the combinatorial route
+    is used alone (no homology needed); the agreement of the two routes is
+    what verify_graph certifies. The group is streamed one lift at a time,
+    so no lift is built past the first odd automorphism.
     """
+    if any(a == b for a, b in g.edge_multiplicities):
+        return True
     o = reference_orientation(g)
     return any(
         combinatorial_sign(g, o, a) == -1 for a in stream_automorphisms(g)[1]

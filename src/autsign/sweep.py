@@ -5,10 +5,12 @@ Enumeration is labeled (no isomorphism rejection) and streamed: graphs come
 out one at a time, ordered by vertex count and then lexicographically by the
 upper-triangular multiplicity vector, so runs are reproducible bit for bit.
 
-``sweep_verify`` and ``census_orientable`` share one ordered map: chunks of
-CHUNK_GRAPHS graphs are dealt round-robin to one forked worker per available
-CPU, and the parent reads the per-graph results back in enumeration order, so
-the output does not depend on the worker count. A census worker sends each
+One ordered map, ``_ordered_map``, serves ``sweep_verify``,
+``census_orientable`` and the ``compute`` command: chunks of CHUNK_GRAPHS
+items (graphs, or one graph's automorphisms) are dealt round-robin to forked
+workers, at most one per available CPU and one per chunk, each worker sends
+one result per chunk, and the parent reads them back in chunk order, so the
+output does not depend on the worker count. A census worker sends each
 graph's one-line text with its flag, so the parent builds no graph.
 """
 from __future__ import annotations
@@ -101,9 +103,10 @@ def _spans_all(vertex_count: int, slot_masks: list[int], vector: tuple[int, ...]
     return True
 
 
-# Graphs per chunk of a sweep: small enough that the workers' shares of the
-# connected sweep (197 chunks) stay even, large enough that a worker's turn
-# at the pipe is a small part of its work.
+# Items per chunk of the ordered map, graphs in a sweep and automorphisms in
+# compute: small enough that the workers' shares of the connected sweep (197
+# chunks) stay even, large enough that a worker's turn at the pipe is a small
+# part of its work.
 CHUNK_GRAPHS = 64
 
 Slots = list[tuple[int, int]]
@@ -184,18 +187,25 @@ def _work(out: BinaryIO, read_ends: list[BinaryIO], results: Iterator[object]) -
         os._exit(code)
 
 
-def _ordered_map(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> Iterator[T]:
-    """``per_graph(g)`` for every graph of the enumeration, in its order.
+def _ordered_map(
+    share_results: Callable[[int, int], Iterator[T]], chunks: int | None = None
+) -> Iterator[T]:
+    """One result per chunk, in chunk order.
 
-    Each forked worker pipes one result per graph of its chunks, and the
-    parent reads CHUNK_GRAPHS results from each pipe in turn; with one CPU, or
-    without ``os.fork``, this is a plain ``map``. An exception in ``per_graph``
-    reaches the consumer with its type and message. Every worker is reaped,
-    also when the map is closed early; the exit statuses are checked at its end.
+    ``share_results(k, shares)`` yields, in order, the results of the chunks
+    whose index is k modulo ``shares``. One forked worker per CPU, but no
+    more than ``chunks`` when the count is known, runs one share and pipes
+    its results; the parent reads one result from each pipe in turn. With
+    one worker, or without ``os.fork``, this is ``share_results(0, 1)``. An
+    exception in a share reaches the consumer with its type and message.
+    Every worker is reaped, also when the map is closed early; the exit
+    statuses are checked at its end.
     """
     workers = _worker_count() if hasattr(os, "fork") else 1
-    if workers == 1:
-        yield from map(per_graph, enumerate_multigraphs(params))
+    if chunks is not None:
+        workers = min(workers, chunks)
+    if workers <= 1:
+        yield from share_results(0, 1)
         return
     import pickle
 
@@ -208,11 +218,11 @@ def _ordered_map(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> I
             with os.fdopen(write_fd, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _work(writer, readers, map(per_graph, _share_graphs(params, share, workers)))
+                    _work(writer, readers, share_results(share, workers))
             pids.append(pid)
         # Chunk i comes from worker i modulo the worker count, so the first
-        # end of stream is the end of the sweep.
-        for reader in itertools.cycle([r for r in readers for _ in range(CHUNK_GRAPHS)]):
+        # end of stream is the end of the map.
+        for reader in itertools.cycle(readers):
             try:
                 result = pickle.load(reader)
             except EOFError:
@@ -233,8 +243,22 @@ def _ordered_map(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> I
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(codes):
         raise RuntimeError(
-            f"a sweep worker stopped before the end of its share (exit statuses {codes})"
+            f"a worker stopped before the end of its share (exit statuses {codes})"
         )
+
+
+def _graph_results(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> Iterator[T]:
+    """``per_graph(g)`` for every graph of the enumeration, in its order; a
+    worker sends one list per chunk."""
+
+    def share_results(share: int, shares: int) -> Iterator[list[T]]:
+        # Every chunk but the last of the enumeration is full.
+        graphs = _share_graphs(params, share, shares)
+        while results := [per_graph(g) for g in itertools.islice(graphs, CHUNK_GRAPHS)]:
+            yield results
+
+    for results in _ordered_map(share_results):
+        yield from results
 
 
 def _verify_one(g: Multigraph) -> tuple[int, bool, list[TheoremFailure]]:
@@ -258,7 +282,7 @@ def sweep_verify(params: SweepParams) -> VerificationReport:
     """
     started = time.perf_counter()
     report = VerificationReport()
-    for automorphisms, odd, failures in _ordered_map(params, _verify_one):
+    for automorphisms, odd, failures in _graph_results(params, _verify_one):
         report.graphs_checked += 1
         report.automorphisms_checked += automorphisms
         report.odd_graph_count += odd
@@ -275,4 +299,4 @@ def _census_one(g: Multigraph) -> tuple[str, bool]:
 def census_orientable(params: SweepParams) -> Iterator[tuple[str, bool]]:
     """Pair the one-line text of every enumerated graph with whether it admits
     an odd automorphism. Closing the stream early stops and reaps the workers."""
-    return _ordered_map(params, _census_one)
+    return _graph_results(params, _census_one)

@@ -24,6 +24,7 @@ from autsign import (
     reference_orientation,
     stream_automorphisms,
 )
+from autsign.automorphism import automorphism_shares
 from autsign.cli import main
 from autsign.signs import comparisons
 from conftest import GOLDEN_TEXTS, multigraphs
@@ -149,6 +150,40 @@ def test_a_group_above_the_cap_fails_before_its_first_element(
     monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", order)
     got, auts = stream_automorphisms(g)
     assert got == order == sum(1 for _ in auts) == len(built)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v 1\n" + "e 0 0\n" * 4,  # one block of 384
+        "v 6\n" + "".join(f"e 0 {i}\n" for i in range(1, 6)),  # 120 blocks of 1
+        "v 4\n" + "e 0 1\n" * 3 + "e 2 3\n" * 3,  # 8 blocks of 36
+    ],
+)
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_the_shares_deal_the_stream_out_in_chunks(text, chunk):
+    g = parse_graph(text)
+    order, stream = stream_automorphisms(g)
+    stream = list(stream)
+    for shares in (1, 2, 3):
+        got, share = automorphism_shares(g, chunk)
+        assert got == order
+        for k in range(shares):
+            expected = [a for i, a in enumerate(stream) if i // chunk % shares == k]
+            assert list(share(k, shares)) == expected, (shares, k)
+
+
+def test_a_share_builds_no_block_outside_its_chunks(monkeypatch):
+    # the star K_{1,5}: 120 blocks of one; the second of two shares of
+    # 64-element chunks holds elements 64..119
+    g = parse_graph("v 6\n" + "".join(f"e 0 {i}\n" for i in range(1, 6)))
+    order, share = automorphism_shares(g, 64)
+    real = autsign.automorphism.Automorphism
+    built = []
+    monkeypatch.setattr(
+        autsign.automorphism, "Automorphism", lambda *args: built.append(args) or real(*args)
+    )
+    assert len(list(share(1, 2))) == len(built) == order - 64 == 56
 
 
 def _kernel_order(g):

@@ -15,6 +15,7 @@ from autsign import (
     verify_graph,
 )
 from autsign.cli import main
+from autsign.sweep import CHUNK_GRAPHS
 from conftest import GOLDEN_TEXTS
 
 
@@ -86,6 +87,63 @@ def test_compute_golden_output_with_diagnostics(graph_file, capsys, name, flags,
     assert capsys.readouterr().out == expected
 
 
+# Groups of several chunks: one block of 384; 120 blocks of one, the last
+# chunk partial; and, disconnected, 8 blocks of 36 across chunk boundaries.
+LOOP4 = "v 1\n" + "e 0 0\n" * 4
+STAR_K15 = "v 6\n" + "".join(f"e 0 {i}\n" for i in range(1, 6))
+TWO_TRIPLE_EDGES = "v 4\n" + "e 0 1\n" * 3 + "e 2 3\n" * 3
+
+
+@pytest.mark.parametrize(
+    "text, flags, order",
+    [
+        (LOOP4, [], 384),
+        (STAR_K15, [], 120),
+        (LOOP4, ["--diagnostics"], 384),
+        (STAR_K15, ["--diagnostics"], 120),
+        (TWO_TRIPLE_EDGES, ["--extended"], 288),
+    ],
+    ids=["loop4", "star-k15", "loop4-diagnostics", "star-k15-diagnostics", "extended"],
+)
+def test_compute_output_does_not_depend_on_the_worker_count(
+    monkeypatch, graph_file, capsys, text, flags, order
+):
+    assert order > CHUNK_GRAPHS
+    path = graph_file(text)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
+        assert main(["compute", path, *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    lines = outputs[0].splitlines()
+    assert lines[2] == f"automorphisms: {order}"
+    assert [line.split()[0] for line in lines[3:]] == [f"[{i}]" for i in range(order)]
+    assert outputs[0].count(" agree=yes") == order
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+def test_a_group_of_one_chunk_is_computed_without_a_fork(monkeypatch, graph_file, capsys):
+    forks = 0
+    real = os.fork
+
+    def counted():
+        nonlocal forks
+        forks += 1
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 3)
+    for name, text in GOLDEN_TEXTS.items():
+        assert main(["compute", "--extended", graph_file(text)]) == 0, name
+    # the orders of the golden groups, none above one chunk
+    assert capsys.readouterr().out.count(" agree=yes") == 2 + 2 + 4 + 6 + 2 + 2 + 2 + 8
+    assert forks == 0
+    # two chunks: two workers, not three
+    assert main(["compute", graph_file(STAR_K15)]) == 0
+    assert forks == 2
+
+
 def count_calls(functions, run):
     """Calls of each of ``functions`` while ``run()`` runs, by name. Calls are
     matched on the function's code object, so the count does not depend on
@@ -114,6 +172,8 @@ def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_fi
         g = parse_graph(GOLDEN_TEXTS[name])
         auts = enumerate_automorphisms(g)
         order, blocks = len(auts), len({a.vertex_perm for a in auts})
+        # one chunk, so compute runs in this process, where the profile sees it
+        assert order <= CHUNK_GRAPHS, name
         expected = {"induced_signed_edge_perm": order, "permutation_sign": order + blocks}
         path = graph_file(GOLDEN_TEXTS[name])
         counted = (induced_signed_edge_perm, permutation_sign)
@@ -176,18 +236,43 @@ def test_compute_stops_at_the_group_cap_under_a_memory_limit(graph_file):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command, lines_before", [("verify", 0), ("census", 5)])
-def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_before):
+@pytest.mark.parametrize(
+    "command, caps",
+    [
+        # one vertex with 5 loops has 5! * 2**5 = 3840 automorphisms
+        ("verify", ["--max-vertices", "1", "--max-edges", "5", "--max-multiplicity", "5",
+                    "--loops"]),
+        # census settles a looped graph without its group; 7 isolated
+        # vertices have 7! = 5040 automorphisms
+        ("census", ["--max-vertices", "7", "--max-edges", "0"]),
+    ],
+    ids=["verify-0", "census-0"],  # the command and the lines before the error
+)
+def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, caps):
     # the sweeps meet the error in a worker and re-raise it in the parent
     monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
     monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 1000)
-    # one vertex with 5 loops has 5! * 2**5 = 3840 automorphisms
-    rc = main([command, "--max-vertices", "1", "--max-edges", "5",
-               "--max-multiplicity", "5", "--loops"])
+    rc = main([command, *caps])
     captured = capsys.readouterr()
     assert rc == 2
-    assert len(captured.out.splitlines()) == lines_before
+    # the failing graph is in the first chunk, so no line comes before the error
+    assert captured.out == ""
     assert captured.err == "error: the automorphism group has more than 1000 elements, too many to list\n"
+
+
+def test_census_settles_a_looped_graph_without_listing_its_group(monkeypatch, capsys):
+    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
+    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 1000)
+    rc = main(["census", "--max-vertices", "1", "--max-edges", "5",
+               "--max-multiplicity", "5", "--loops"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == "".join(
+        ["v 1\teven\n"]
+        + [f"v 1{'; e 0 0' * loops}\todd\n" for loops in range(1, 6)]
+        + ["# graphs: 6\todd: 5\n"]
+    )
+    assert captured.err == ""
 
 
 def test_compute_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -289,6 +374,29 @@ def test_module_entry_point():
     assert "failures: 0" in proc.stdout
 
 
+def run_into_a_closed_pipe(argv, lines_read):
+    """Run ``autsign *argv`` as in ``autsign ... | head -n <lines_read>``, with
+    stdout block-buffered as it is by default, in a session of its own that
+    its workers share. Return its exit status, the lines read and stderr;
+    the session must be empty by then."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "autsign", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    status = proc.wait(timeout=60)
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    return status, lines, err
+
+
 @pytest.mark.parametrize(
     "caps, lines_read",
     [
@@ -299,25 +407,19 @@ def test_module_entry_point():
     ids=["head-n-1", "closed-before-output"],
 )
 def test_census_into_a_closed_pipe_exits_1_and_leaves_no_worker(caps, lines_read):
-    # As in `autsign census ... | head -n 1`, with stdout block-buffered as
-    # it is by default; the workers share the new session's process group.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "autsign", "census", *caps],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        start_new_session=True,
-        env=env,
-    )
-    lines = [proc.stdout.readline() for _ in range(lines_read)]
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    status, lines, err = run_into_a_closed_pipe(["census", *caps], lines_read)
+    assert status == 1
     assert lines == [b"v 1\teven\n"][:lines_read]
     assert err == b""
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
+
+
+def test_compute_into_a_closed_pipe_exits_1_and_leaves_no_worker(graph_file):
+    # one vertex with 6 loops: 720 chunks, about 4 MB of lines
+    path = graph_file("v 1\n" + "e 0 0\n" * 6)
+    status, lines, err = run_into_a_closed_pipe(["compute", path], 1)
+    assert status == 1
+    assert lines == [b"graph: v 1; e 0 0; e 0 0; e 0 0; e 0 0; e 0 0; e 0 0\n"]
+    assert err == b""
 
 
 def test_importing_the_cli_loads_no_pickle_signal_or_process_pool():

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from autsign import (
     Multigraph,
+    SweepParams,
     chain_determinant_check,
     combinatorial_sign,
     component_permutation_sign,
     det_sign,
     enumerate_automorphisms,
+    enumerate_multigraphs,
     fundamental_cycles,
     has_odd_automorphism,
     homological_sign,
@@ -196,6 +198,20 @@ HAS_ODD = {
 @pytest.mark.parametrize("name, expected", sorted(HAS_ODD.items()))
 def test_has_odd_automorphism_goldens(name, expected):
     assert has_odd_automorphism(parse_graph(GOLDEN_TEXTS[name])) is expected
+
+
+def test_the_loop_rule_matches_the_exhaustive_stream_on_the_full_caps():
+    # A graph with a loop is odd without a search; on the others the rule
+    # and the stream are one computation.
+    params = SweepParams(max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True)
+    graphs = looped = 0
+    for g in enumerate_multigraphs(params):
+        o = reference_orientation(g)
+        exhaustive = any(combinatorial_sign(g, o, a) == -1 for a in stream_automorphisms(g)[1])
+        assert has_odd_automorphism(g) is exhaustive, g
+        graphs += 1
+        looped += any(g.is_loop(e) for e in range(g.edge_count))
+    assert (graphs, looped) == (60386, 52223)
 
 
 def test_two_isolated_vertices_are_odd():

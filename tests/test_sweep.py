@@ -13,6 +13,7 @@ from autsign import (
     census_orientable,
     enumerate_automorphisms,
     enumerate_multigraphs,
+    parse_graph,
     serialize_compact,
     sweep_verify,
     verify_graph,
@@ -284,6 +285,37 @@ def test_a_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
         sweep(params)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+@pytest.mark.parametrize("fail, error, message", _FAILURES, ids=_FAILURE_IDS)
+def test_a_compute_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
+    monkeypatch, tmp_path, capsys, fail, error, message
+):
+    # one vertex with 4 loops: one block of 384 automorphisms, 6 chunks
+    text = "v 1\n" + "e 0 0\n" * 4
+    g = parse_graph(text)
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    # In the fourth chunk, while the other workers are still busy.
+    target = enumerate_automorphisms(g)[3 * CHUNK_GRAPHS + 5]
+    real = autsign.signs.induced_signed_edge_perm
+
+    def fail_on_target(g, o, a):
+        if a == target:
+            fail()
+        return real(g, o, a)
+
+    monkeypatch.setattr(autsign.signs, "induced_signed_edge_perm", fail_on_target)
+    use_workers(monkeypatch, 3)
+    with pytest.raises(error, match=message):
+        main(["compute", str(path)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # the first three chunks came out whole
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 + 3 * CHUNK_GRAPHS
+    assert lines[-1].startswith(f"[{3 * CHUNK_GRAPHS - 1}] ")
 
 
 def test_census_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
