@@ -182,15 +182,13 @@ def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
 
 
 def automorphism_shares(
-    g: Multigraph, chunk: int
-) -> tuple[int, Callable[[int, int], Iterator[Automorphism]]]:
+    g: Multigraph,
+) -> tuple[int, Callable[[Callable[[int], bool]], Iterator[Automorphism]]]:
     """The group's order and its share function.
 
-    Cut the stream of stream_automorphisms into chunks of ``chunk``
-    consecutive elements. ``share(k, shares)`` yields, in stream order, the
-    elements of the chunks whose index is k modulo ``shares``: ``share(0, 1)``
-    is the whole stream. A bijection's block is built only when one of its
-    lifts falls in such a chunk.
+    ``share(owns)`` yields, in the order of stream_automorphisms, the
+    elements at the stream indices i with ``owns(i)``. A bijection's block of
+    lifts is built only when one of its indices is owned.
 
     Each multiplicity-preserving vertex bijection has a block of lifts, all
     blocks of one size. The bijections are collected here, in lexicographic
@@ -215,30 +213,32 @@ def automorphism_shares(
     ends: dict[tuple[int, int], list[int]] = {}
     for h, v in enumerate(g.endpoint):
         ends.setdefault((v, g.endpoint[h ^ 1]), []).append(h)
+    order = len(bijections) * block
 
-    def share(k: int, shares: int) -> Iterator[Automorphism]:
-        for b, vperm in enumerate(bijections):
-            # the block's lifts fall in chunks first..last
-            start = b * block
-            first, last = start // chunk, (start + block - 1) // chunk
-            if (k - first) % shares > last - first:
-                continue
-            lifts = _lifts(g, ends, vperm)
-            if shares == 1 or first == last:
-                yield from lifts
-            else:
-                yield from (a for i, a in enumerate(lifts, start) if i // chunk % shares == k)
+    def share(owns: Callable[[int], bool]) -> Iterator[Automorphism]:
+        # lifts: the rest of the block of the last owned index, each lift
+        # with its stream index; the block ends before index end
+        lifts, end = iter(()), 0
+        for i in filter(owns, range(order)):
+            if i >= end:
+                b = i // block
+                end = (b + 1) * block
+                lifts = enumerate(_lifts(g, ends, bijections[b]), b * block)
+            for j, a in lifts:
+                if j == i:
+                    yield a
+                    break
 
-    return len(bijections) * block, share
+    return order, share
 
 
 def stream_automorphisms(g: Multigraph) -> tuple[int, Iterator[Automorphism]]:
     """The group's order and a lazy stream of its elements, identity first,
-    then ordered by (vertex_perm, half_edge_perm): the one share of
-    automorphism_shares, which raises GroupTooLargeError before any element
-    is built."""
-    order, share = automorphism_shares(g, 1)
-    return order, share(0, 1)
+    then ordered by (vertex_perm, half_edge_perm): the share of
+    automorphism_shares that owns every index, which raises
+    GroupTooLargeError before any element is built."""
+    order, share = automorphism_shares(g)
+    return order, share(lambda _i: True)
 
 
 def enumerate_automorphisms(g: Multigraph) -> list[Automorphism]:

@@ -3,8 +3,8 @@
 All stdout payloads are deterministic; timing goes to stderr only. compute,
 verify and census run on the sweep module's ordered map: compute parses the
 graph, collects its vertex bijections and prints the header in this process,
-and the workers format the automorphism lines, one text per chunk, which are
-written in automorphism order.
+and the workers format the lines of their chunks of the group, which the
+parent writes one chunk at a time, in automorphism order.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import random
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .automorphism import (
     GroupTooLargeError,
@@ -40,7 +40,7 @@ from .signs import (
     homological_sign_extended,
     verify_graph,
 )
-from .sweep import CHUNK_GRAPHS, SweepParams, _ordered_map, census_orientable, sweep_verify
+from .sweep import SweepParams, census_orientable, ordered_map, sweep_verify
 
 
 def _fmt_sign(s: int) -> str:
@@ -82,34 +82,28 @@ def cmd_compute(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    order, share = automorphism_shares(g, CHUNK_GRAPHS)
+    order, share = automorphism_shares(g)
     print(f"graph: {serialize_compact(g)}")
     print(
         f"vertices: {g.vertex_count}  edges: {g.edge_count}  "
         f"components: {g.components.component_count}  cycle_rank: {g.cycle_rank}"
     )
     print(f"automorphisms: {order}")
-    chunks = -(-order // CHUNK_GRAPHS)
 
-    def share_texts(k: int, shares: int) -> Iterator[str]:
-        """The lines of the chunks whose index is k modulo ``shares``, one
-        text per chunk."""
+    def share_lines(owns: Callable[[int], bool]) -> Iterator[str]:
+        """The lines of the automorphisms i with ``owns(i)``, in order."""
         # Without --extended the graph is connected, where the component sign is +1.
-        records = comparisons(g, share(k, shares), args.diagnostics)
+        records = comparisons(g, share(owns), args.diagnostics)
         vperm = None
-        for chunk in range(k, chunks, shares):
-            lines = []
-            first = chunk * CHUNK_GRAPHS
-            for i, r in zip(range(first, min(first + CHUNK_GRAPHS, order)), records):
-                if r.automorphism.vertex_perm is not vperm:
-                    # once per vertex-bijection block
-                    vperm = r.automorphism.vertex_perm
-                    vperm_cycles = cycle_notation(vperm)
-                lines.append(_compute_line(i, vperm_cycles, r))
-            yield "".join(lines)
+        for i, r in zip(filter(owns, range(order)), records):
+            if r.automorphism.vertex_perm is not vperm:
+                # once per vertex-bijection block
+                vperm = r.automorphism.vertex_perm
+                vperm_cycles = cycle_notation(vperm)
+            yield _compute_line(i, vperm_cycles, r)
 
-    for text in _ordered_map(share_texts, chunks):
-        sys.stdout.write(text)
+    for lines in ordered_map(share_lines, order):
+        sys.stdout.write("".join(lines))
     return 0
 
 

@@ -5,13 +5,15 @@ Enumeration is labeled (no isomorphism rejection) and streamed: graphs come
 out one at a time, ordered by vertex count and then lexicographically by the
 upper-triangular multiplicity vector, so runs are reproducible bit for bit.
 
-One ordered map, ``_ordered_map``, serves ``sweep_verify``,
-``census_orientable`` and the ``compute`` command: chunks of CHUNK_GRAPHS
-items (graphs, or one graph's automorphisms) are dealt round-robin to forked
-workers, at most one per available CPU and one per chunk, each worker sends
-one result per chunk, and the parent reads them back in chunk order, so the
-output does not depend on the worker count. A census worker sends each
-graph's one-line text with its flag, so the parent builds no graph.
+One ordered map, ``ordered_map``, serves ``sweep_verify``,
+``census_orientable`` and the ``compute`` command: a stream of items (graphs,
+or one graph's automorphisms) is cut into chunks of CHUNK_GRAPHS items, dealt
+round-robin to forked workers, at most one per available CPU and one per
+chunk; each worker makes only the items of its own chunks and sends one list
+per chunk, and the parent reads the lists back in chunk order, so the output
+does not depend on the worker count. Output stops at the end of the last
+whole chunk before a failure. A census worker sends each graph's
+one-line text with its flag, so the parent builds no graph.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator, NoReturn, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from .multigraph import Multigraph, serialize_compact
 from .signs import has_odd_automorphism, verify_graph
@@ -111,6 +113,18 @@ CHUNK_GRAPHS = 64
 
 Slots = list[tuple[int, int]]
 T = TypeVar("T")
+# Whether the item at a stream index is in a share.
+Owns = Callable[[int], bool]
+
+
+def _every(_i: int) -> bool:
+    return True
+
+
+def _dealt(share: int, shares: int) -> Owns:
+    """Share ``share`` of ``shares``: the items of the chunks whose index is
+    ``share`` modulo ``shares``."""
+    return lambda i: i // CHUNK_GRAPHS % shares == share
 
 
 def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, ...]]]:
@@ -136,11 +150,11 @@ def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, 
             yield n, slots, vector
 
 
-def _share_graphs(params: SweepParams, share: int, shares: int) -> Iterator[Multigraph]:
-    """The graphs of the chunks whose index is ``share`` modulo ``shares``;
-    only these graphs are built."""
+def _share_graphs(params: SweepParams, owns: Owns) -> Iterator[Multigraph]:
+    """The graphs i of the enumeration with ``owns(i)``; only these graphs
+    are built."""
     for i, (n, slots, vector) in enumerate(_kept_vectors(params)):
-        if i // CHUNK_GRAPHS % shares == share:
+        if owns(i):
             edges: list[tuple[int, int]] = []
             for pair, m in zip(slots, vector):
                 edges.extend([pair] * m)
@@ -149,7 +163,7 @@ def _share_graphs(params: SweepParams, share: int, shares: int) -> Iterator[Mult
 
 def enumerate_multigraphs(params: SweepParams) -> Iterator[Multigraph]:
     """All labeled multigraphs within the caps, streamed deterministically."""
-    return _share_graphs(params, 0, 1)
+    return _share_graphs(params, _every)
 
 
 def _worker_count() -> int:
@@ -158,6 +172,13 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _chunks(items: Iterable[T]) -> Iterator[list[T]]:
+    """``items`` in lists of CHUNK_GRAPHS, the last one possibly shorter."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, CHUNK_GRAPHS)):
+        yield chunk
 
 
 def _work(out: BinaryIO, read_ends: list[BinaryIO], results: Iterator[object]) -> NoReturn:
@@ -187,25 +208,27 @@ def _work(out: BinaryIO, read_ends: list[BinaryIO], results: Iterator[object]) -
         os._exit(code)
 
 
-def _ordered_map(
-    share_results: Callable[[int, int], Iterator[T]], chunks: int | None = None
-) -> Iterator[T]:
-    """One result per chunk, in chunk order.
+def ordered_map(
+    share_items: Callable[[Owns], Iterable[T]], count: int | None = None
+) -> Iterator[list[T]]:
+    """The items of a stream as one list per chunk, in stream order.
 
-    ``share_results(k, shares)`` yields, in order, the results of the chunks
-    whose index is k modulo ``shares``. One forked worker per CPU, but no
-    more than ``chunks`` when the count is known, runs one share and pipes
-    its results; the parent reads one result from each pipe in turn. With
-    one worker, or without ``os.fork``, this is ``share_results(0, 1)``. An
-    exception in a share reaches the consumer with its type and message.
-    Every worker is reaped, also when the map is closed early; the exit
-    statuses are checked at its end.
+    The stream is cut into chunks of CHUNK_GRAPHS items, and chunk i is
+    dealt to worker i modulo the worker count. ``share_items(owns)`` yields,
+    in stream order, the items at the indices i with ``owns(i)``. One forked
+    worker per CPU, but no more than there are chunks when the stream's
+    length ``count`` is known, runs its share and pipes one list per chunk;
+    the parent reads one list from each pipe in turn. With one worker, or
+    without ``os.fork``, the whole stream is cut into chunks in this process.
+    An exception in a share reaches the consumer with its type and message,
+    after the chunks before the one it stopped. Every worker is reaped, also
+    when the map is closed early; the exit statuses are checked at its end.
     """
     workers = _worker_count() if hasattr(os, "fork") else 1
-    if chunks is not None:
-        workers = min(workers, chunks)
+    if count is not None:
+        workers = min(workers, -(-count // CHUNK_GRAPHS))
     if workers <= 1:
-        yield from share_results(0, 1)
+        yield from _chunks(share_items(_every))
         return
     import pickle
 
@@ -218,18 +241,18 @@ def _ordered_map(
             with os.fdopen(write_fd, "wb") as writer:
                 pid = os.fork()
                 if pid == 0:
-                    _work(writer, readers, share_results(share, workers))
+                    _work(writer, readers, _chunks(share_items(_dealt(share, workers))))
             pids.append(pid)
         # Chunk i comes from worker i modulo the worker count, so the first
         # end of stream is the end of the map.
         for reader in itertools.cycle(readers):
             try:
-                result = pickle.load(reader)
+                chunk = pickle.load(reader)
             except EOFError:
                 break
-            if isinstance(result, BaseException):
-                raise result
-            yield result
+            if isinstance(chunk, BaseException):
+                raise chunk
+            yield chunk
     except BaseException:
         import signal
 
@@ -245,20 +268,6 @@ def _ordered_map(
         raise RuntimeError(
             f"a worker stopped before the end of its share (exit statuses {codes})"
         )
-
-
-def _graph_results(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> Iterator[T]:
-    """``per_graph(g)`` for every graph of the enumeration, in its order; a
-    worker sends one list per chunk."""
-
-    def share_results(share: int, shares: int) -> Iterator[list[T]]:
-        # Every chunk but the last of the enumeration is full.
-        graphs = _share_graphs(params, share, shares)
-        while results := [per_graph(g) for g in itertools.islice(graphs, CHUNK_GRAPHS)]:
-            yield results
-
-    for results in _ordered_map(share_results):
-        yield from results
 
 
 def _verify_one(g: Multigraph) -> tuple[int, bool, list[TheoremFailure]]:
@@ -282,7 +291,8 @@ def sweep_verify(params: SweepParams) -> VerificationReport:
     """
     started = time.perf_counter()
     report = VerificationReport()
-    for automorphisms, odd, failures in _graph_results(params, _verify_one):
+    chunks = ordered_map(lambda owns: map(_verify_one, _share_graphs(params, owns)))
+    for automorphisms, odd, failures in itertools.chain.from_iterable(chunks):
         report.graphs_checked += 1
         report.automorphisms_checked += automorphisms
         report.odd_graph_count += odd
@@ -299,4 +309,5 @@ def _census_one(g: Multigraph) -> tuple[str, bool]:
 def census_orientable(params: SweepParams) -> Iterator[tuple[str, bool]]:
     """Pair the one-line text of every enumerated graph with whether it admits
     an odd automorphism. Closing the stream early stops and reaps the workers."""
-    return _graph_results(params, _census_one)
+    for chunk in ordered_map(lambda owns: map(_census_one, _share_graphs(params, owns))):
+        yield from chunk

@@ -237,27 +237,28 @@ def test_compute_stops_at_the_group_cap_under_a_memory_limit(graph_file):
 
 
 @pytest.mark.parametrize(
-    "command, caps",
-    [
-        # one vertex with 5 loops has 5! * 2**5 = 3840 automorphisms
-        ("verify", ["--max-vertices", "1", "--max-edges", "5", "--max-multiplicity", "5",
-                    "--loops"]),
-        # census settles a looped graph without its group; 7 isolated
-        # vertices have 7! = 5040 automorphisms
-        ("census", ["--max-vertices", "7", "--max-edges", "0"]),
-    ],
-    ids=["verify-0", "census-0"],  # the command and the lines before the error
+    "command, lines_before",
+    [("verify", 0), ("census", CHUNK_GRAPHS)],
+    ids=["verify-0", "census-64"],  # the command and the lines before the error
 )
-def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, caps):
-    # the sweeps meet the error in a worker and re-raise it in the parent
-    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
-    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 1000)
-    rc = main([command, *caps])
-    captured = capsys.readouterr()
-    assert rc == 2
-    # the failing graph is in the first chunk, so no line comes before the error
-    assert captured.out == ""
-    assert captured.err == "error: the automorphism group has more than 1000 elements, too many to list\n"
+def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_before):
+    # census settles a looped graph without its group, so the family is
+    # loopless: up to 6 vertices and 2 edges. The empty graph on 6 vertices
+    # (6! = 720 automorphisms) is the first above the cap, at index 88 in the
+    # second chunk, and the output stops at the end of the first chunk.
+    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 500)
+    assert main(["census", "--max-vertices", "5", "--max-edges", "2"]) == 0
+    first_chunk = capsys.readouterr().out.splitlines(keepends=True)[:CHUNK_GRAPHS]
+    for workers in (1, 2):
+        # with two workers the error is met in a worker and re-raised in the parent
+        monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
+        rc = main([command, "--max-vertices", "6", "--max-edges", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "".join(first_chunk[:lines_before])
+        assert captured.err == (
+            "error: the automorphism group has more than 500 elements, too many to list\n"
+        )
 
 
 def test_census_settles_a_looped_graph_without_listing_its_group(monkeypatch, capsys):
