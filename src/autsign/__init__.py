@@ -20,6 +20,7 @@ from .automorphism import (
 )
 from .homology import (
     CycleBasis,
+    CycleSpaceTooLargeError,
     IntMatrix,
     UnimodularityError,
     det_bareiss,
@@ -67,6 +68,7 @@ __all__ = [
     "Automorphism",
     "ComponentPartition",
     "CycleBasis",
+    "CycleSpaceTooLargeError",
     "DeterminantFactors",
     "GraphFormatError",
     "GroupTooLargeError",

@@ -23,7 +23,14 @@ from .automorphism import (
     automorphism_shares,
     cycle_notation,
 )
-from .homology import IntMatrix, det_bareiss, det_cofactor, fundamental_cycles
+from .homology import (
+    CycleSpaceTooLargeError,
+    IntMatrix,
+    check_cycle_rank,
+    det_bareiss,
+    det_cofactor,
+    fundamental_cycles,
+)
 from .multigraph import (
     GraphFormatError,
     parse_graph,
@@ -82,6 +89,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    check_cycle_rank(g)
     order, share = automorphism_shares(g)
     print(f"graph: {serialize_compact(g)}")
     print(
@@ -287,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         # Flushed here, so that a reader gone from stdout is met in this try.
         sys.stdout.flush()
         return status
-    except GroupTooLargeError as exc:
+    except (GroupTooLargeError, CycleSpaceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

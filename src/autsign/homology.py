@@ -12,6 +12,29 @@ from typing import Sequence
 from .automorphism import Automorphism, SignedEdgePermutation, induced_signed_edge_perm
 from .multigraph import Multigraph, Orientation, SpanningForest
 
+# The largest cycle rank whose cycle space is built. The basis is held dense,
+# rank x edges coefficients, and each automorphism's matrix is rank x rank,
+# so the cap bounds memory: at the cap, even MAX_EDGES edges give a basis of
+# 6.4e6 coefficients, about 51 MB of references. A seeded simple graph with
+# 300 vertices and 20000 edges (rank 19701) ran out of a 1 GiB address space
+# building its basis. Every pinned graph has rank at most 6, and the
+# isomorphism-class frontier (6-7 vertices, 7-8 edges) at most 8.
+MAX_CYCLE_RANK = 64
+
+
+class CycleSpaceTooLargeError(ValueError):
+    """The graph's cycle rank is above MAX_CYCLE_RANK."""
+
+
+def check_cycle_rank(g: Multigraph) -> None:
+    """Raise CycleSpaceTooLargeError when the cycle space of ``g`` is too
+    large to hold."""
+    if g.cycle_rank > MAX_CYCLE_RANK:
+        raise CycleSpaceTooLargeError(
+            f"the cycle space has rank {g.cycle_rank}, more than {MAX_CYCLE_RANK}, "
+            "too large to hold"
+        )
+
 
 class UnimodularityError(ArithmeticError):
     """An induced cycle-space matrix had |det| != 1; this indicates a bug
@@ -116,7 +139,10 @@ def fundamental_cycles(g: Multigraph, o: Orientation, forest: SpanningForest) ->
 
     Tree edges are signed by traversal direction against the reference
     orientation, which makes every cycle lie in the kernel of the boundary.
+    Raises CycleSpaceTooLargeError before building anything when the cycle
+    rank is above MAX_CYCLE_RANK.
     """
+    check_cycle_rank(g)
     adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.vertex_count)}
     for e in forest.tree_edges:
         a, b = g.edge_ends(e)
@@ -163,27 +189,53 @@ def induced_cycle_matrix(
 
 def _bareiss(a: list[list[int]]) -> int:
     """Exact determinant of a square list of rows by fraction-free
-    elimination, overwriting the rows; 0x0 gives 1."""
+    elimination (Bareiss 1968), overwriting the rows; 0x0 gives 1.
+
+    Step k pivots on the first +-1 at or below row k in column k, or else on
+    the nonzero entry of least absolute value, and swaps it into row k. A
+    pivot equal to -prev (the previous pivot, 1 at the start) has its row
+    negated, so while the pivots are units, prev stays 1 and each pivot
+    equals it. Each row below is then updated to
+    ``(row * pivot - factor * row_k) // prev``, which is the identity on a
+    row whose factor is 0 when pivot == prev: such a row is left as it is,
+    so a signed permutation matrix is only searched, never rewritten. Swaps
+    and negations flip the tracked sign; every division is exact, so each
+    entry stays a minor of the matrix, up to sign.
+    """
     n = len(a)
     if n == 0:
         return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+        p = -1
+        least = 0
+        for i in range(k, n):
+            x = a[i][k]
+            if x == 1 or x == -1:
+                p = i
+                break
+            if x and (p < 0 or abs(x) < least):
+                p, least = i, abs(x)
+        if p < 0:
+            return 0
+        row_k = a[p]
+        if p != k:
+            a[p] = a[k]
+            a[k] = row_k
             sign = -sign
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
+        pivot = row_k[k]
+        if pivot == -prev:
+            row_k = a[k] = [-x for x in row_k]
+            pivot = prev
+            sign = -sign
+        rescales = pivot != prev
+        for row_i in a[k + 1 :]:
             factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
+            if factor or rescales:
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+                row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
 

@@ -18,11 +18,13 @@ one-line text with its flag, so the parent builds no graph.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import time
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
+from . import automorphism
 from .multigraph import Multigraph, serialize_compact
 from .signs import has_odd_automorphism, verify_graph
 
@@ -148,6 +150,19 @@ def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, 
             if params.connected_only and not _spans_all(n, slot_masks, vector):
                 continue
             yield n, slots, vector
+
+
+def _refuse_a_group_too_large(params: SweepParams) -> None:
+    """Raise GroupTooLargeError, before any graph is built, when the caps
+    alone put a group over MAX_AUTOMORPHISMS in the sweep: without
+    ``connected_only`` the empty graph on max_vertices vertices is always in
+    it, with max_vertices! automorphisms."""
+    if params.connected_only:
+        return
+    # stops at the first factorial over the cap, however large max_vertices is
+    factorials = itertools.accumulate(range(1, params.max_vertices + 1), operator.mul)
+    if any(order > automorphism.MAX_AUTOMORPHISMS for order in factorials):
+        raise automorphism._too_large()
 
 
 def _share_graphs(params: SweepParams, owns: Owns) -> Iterator[Multigraph]:
@@ -287,8 +302,10 @@ def sweep_verify(params: SweepParams) -> VerificationReport:
 
     Disagreements are collected verbatim, never raised: a failing sweep should
     show all its counterexamples. An exception raised while verifying a graph
-    reaches the caller with its type and message.
+    reaches the caller with its type and message. A group over the cap that
+    the caps alone reveal is refused before the first fork.
     """
+    _refuse_a_group_too_large(params)
     started = time.perf_counter()
     report = VerificationReport()
     chunks = ordered_map(lambda owns: map(_verify_one, _share_graphs(params, owns)))
@@ -308,6 +325,9 @@ def _census_one(g: Multigraph) -> tuple[str, bool]:
 
 def census_orientable(params: SweepParams) -> Iterator[tuple[str, bool]]:
     """Pair the one-line text of every enumerated graph with whether it admits
-    an odd automorphism. Closing the stream early stops and reaps the workers."""
+    an odd automorphism. Closing the stream early stops and reaps the workers.
+    A group over the cap that the caps alone reveal is refused before the
+    first fork."""
+    _refuse_a_group_too_large(params)
     for chunk in ordered_map(lambda owns: map(_census_one, _share_graphs(params, owns))):
         yield from chunk

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -242,23 +243,92 @@ def test_compute_stops_at_the_group_cap_under_a_memory_limit(graph_file):
     ids=["verify-0", "census-64"],  # the command and the lines before the error
 )
 def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_before):
-    # census settles a looped graph without its group, so the family is
-    # loopless: up to 6 vertices and 2 edges. The empty graph on 6 vertices
-    # (6! = 720 automorphisms) is the first above the cap, at index 88 in the
-    # second chunk, and the output stops at the end of the first chunk.
-    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 500)
-    assert main(["census", "--max-vertices", "5", "--max-edges", "2"]) == 0
+    # A connected-only family, so that no refusal comes before the walk, and
+    # loopless, since census settles a looped graph without its group: up to
+    # 5 vertices and 4 edges of multiplicity up to 2. Its first graph above
+    # the cap of 20 has 24 automorphisms, at index 98 in the second chunk,
+    # and the output stops at the end of the first chunk.
+    caps = ["--max-vertices", "5", "--max-edges", "4", "--max-multiplicity", "2",
+            "--connected-only"]
+    assert main(["census", *caps]) == 0
     first_chunk = capsys.readouterr().out.splitlines(keepends=True)[:CHUNK_GRAPHS]
+    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 20)
     for workers in (1, 2):
         # with two workers the error is met in a worker and re-raised in the parent
         monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
-        rc = main([command, "--max-vertices", "6", "--max-edges", "2"])
+        rc = main([command, *caps])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == "".join(first_chunk[:lines_before])
         assert captured.err == (
-            "error: the automorphism group has more than 500 elements, too many to list\n"
+            "error: the automorphism group has more than 20 elements, too many to list\n"
         )
+
+
+@pytest.mark.parametrize("command", ["verify", "census"])
+def test_sweeps_refuse_the_empty_graph_over_the_cap_before_any_fork(
+    monkeypatch, capsys, command
+):
+    # Without --connected-only the empty graph on max_vertices vertices is in
+    # the sweep; 10! is over the cap, and 5! = 120 over a cap patched to 100.
+    forks = 0
+
+    def no_fork():
+        nonlocal forks
+        forks += 1
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
+    cap = autsign.automorphism.MAX_AUTOMORPHISMS
+    for vertices, max_automorphisms in (("10", cap), ("5", 100)):
+        monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", max_automorphisms)
+        rc = main([command, "--max-vertices", vertices, "--max-edges", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the automorphism group has more than {max_automorphisms} elements,"
+            " too many to list\n"
+        )
+    assert forks == 0
+    # in one process, the controls: connected-only, the same caps hold one
+    # graph, a single vertex; and 4! = 24 is within a cap of 24
+    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 1)
+    for caps, max_automorphisms, graphs in (
+        (["10", "--connected-only"], cap, 1),
+        (["4"], 24, 4),
+    ):
+        monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", max_automorphisms)
+        assert main([command, "--max-edges", "0", "--max-vertices", *caps]) == 0
+        out = capsys.readouterr().out
+        assert f"graphs_checked: {graphs}\n" in out or f"# graphs: {graphs}\t" in out
+
+
+def test_compute_refuses_a_cycle_space_too_large_under_a_memory_limit(graph_file):
+    # A seeded simple graph with 300 vertices and 20000 edges, cycle rank
+    # 19701: its dense cycle basis ran out of this address space with a
+    # MemoryError traceback after the header was printed.
+    import random
+    import resource
+
+    pairs = random.Random(1).sample(list(itertools.combinations(range(300), 2)), 20000)
+    text = "v 300\n" + "".join(f"e {a} {b}\n" for a, b in pairs)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "autsign", "compute", graph_file(text)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: the cycle space has rank 19701, more than 64, too large to hold\n"
+    )
 
 
 def test_census_settles_a_looped_graph_without_listing_its_group(monkeypatch, capsys):

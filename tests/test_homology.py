@@ -1,22 +1,30 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+import autsign.homology
 from autsign import (
+    CycleSpaceTooLargeError,
     IntMatrix,
     UnimodularityError,
+    chain_determinant_check,
     det_bareiss,
     det_cofactor,
     det_sign,
     enumerate_automorphisms,
     fundamental_cycles,
     induced_cycle_matrix,
+    induced_signed_edge_perm,
     parse_graph,
     reference_orientation,
     spanning_forest,
 )
+from autsign.cli import main
+from autsign.homology import _bareiss
 from conftest import GOLDEN_TEXTS, multigraphs
 from oracles import (
     boundary_matrix,
@@ -159,6 +167,16 @@ def test_induced_matrix_basis_mismatch(golden):
         )
 
 
+def test_a_cycle_space_above_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # one vertex with 65 loops: cycle rank 65, one above the cap of 64
+    g = parse_graph("v 1\n" + "e 0 0\n" * 65)
+    o, forest = reference_orientation(g), spanning_forest(g)
+    with pytest.raises(CycleSpaceTooLargeError, match="rank 65, more than 64"):
+        fundamental_cycles(g, o, forest)
+    monkeypatch.setattr(autsign.homology, "MAX_CYCLE_RANK", 65)
+    assert len(fundamental_cycles(g, o, forest).cycles) == 65
+
+
 def test_det_basics():
     assert det_bareiss(identity_matrix(3)) == 1
     assert det_bareiss(IntMatrix(1, 1, (-1,))) == -1
@@ -249,3 +267,142 @@ def test_unimodularity_holds_on_small_family(golden):
         o, basis = basis_of(g)
         for a in enumerate_automorphisms(g):
             assert abs(det_bareiss(induced_cycle_matrix(g, o, basis, a))) == 1
+
+
+def assert_det(rows, expected=None):
+    """det_bareiss of ``rows`` against the cofactor expansion and, up to 6x6,
+    the permutation sum, or sympy beyond; and against ``expected`` if given."""
+    m = IntMatrix.from_rows(rows)
+    d = det_bareiss(m)
+    assert d == det_cofactor(m)
+    assert d == (det_permutation_sum(m) if m.rows <= 6 else sympy.Matrix(rows).det())
+    if expected is not None:
+        assert d == expected
+    return d
+
+
+def signed_permutation_rows(rng, n):
+    p = list(range(n))
+    rng.shuffle(p)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[p[i]][i] = rng.choice((-1, 1))
+    return rows
+
+
+class WriteCountingRow(list):
+    """A row that counts the entries written into it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        WriteCountingRow.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_det_of_random_signed_permutations_up_to_8x8_rewrites_no_row():
+    # A unit pivot equal to prev leaves every zero-factor row as it is, and
+    # every row of a signed permutation matrix below the pivot has factor 0,
+    # so no entry is written, whichever sign the pivots have.
+    rng = random.Random(2024)
+    pivots = set()
+    for n in range(1, 9):
+        for _ in range(25):
+            rows = signed_permutation_rows(rng, n)
+            pivots.add(next(r[0] for r in rows if r[0]))
+            d = assert_det(rows)
+            assert d in (1, -1)
+            WriteCountingRow.writes = 0
+            assert _bareiss([WriteCountingRow(r) for r in rows]) == d
+            assert WriteCountingRow.writes == 0
+    assert pivots == {1, -1}
+
+
+def test_det_negates_a_pivot_row_equal_to_minus_prev():
+    assert_det([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], -1)
+    assert_det([[0, -1, 0], [-1, 0, 0], [0, 0, 1]], -1)
+    assert_det([[-1, 2, 3], [0, 1, 4], [5, 6, -1]])
+    # after a pivot of 2, the next pivot is -2 == -prev, a non-unit
+    assert_det([[2, 0, 0], [0, -1, 1], [0, 3, 1]], -8)
+
+
+def test_det_pivots_on_a_unit_below_a_larger_entry():
+    # column 0 holds 2 above 1, so the pivot is the 1 in row 1, not the 2
+    assert_det([[2, 1, 0], [1, 0, 1], [0, 1, 1]], -3)
+    assert_det([[3, 1, 2, 0], [-2, 5, 1, 1], [-1, 0, 2, 3], [4, 1, 0, 2]])
+    # no unit in column 0: the pivot is the entry of least absolute value, -2
+    assert_det([[3, 1, 0], [-2, 1, 1], [5, 0, 2]])
+    assert_det([[4, 2, 1], [6, 3, 0], [-2, 5, 7]])
+
+
+def test_det_rescales_zero_factor_rows_below_a_non_unit_pivot():
+    # pivot 2 with prev 1: the rows below, whose factor is 0, are rescaled
+    assert_det([[2, 1, 1], [0, 3, 1], [0, 1, 2]], 10)
+    assert_det([[2, 0, 0, 1], [0, 3, 1, 0], [0, 1, 3, 0], [1, 0, 0, 2]], 24)
+    # a unit pivot after a non-unit one, with zero factors below it
+    assert_det([[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 1, -3]], -20)
+    rng = random.Random(11)
+    for n in range(2, 7):
+        for _ in range(40):
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(n)] for _ in range(n)]
+            assert_det(rows)
+
+
+def test_det_of_singular_matrices_whose_zero_column_comes_late():
+    # a zero column at step k returns 0 before the last step
+    assert_det([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]], 0)
+    # column 2 becomes zero only after eliminating columns 0 and 1
+    assert_det([[1, 0, 1, 2], [0, 1, 1, 3], [1, 1, 2, 0], [2, -1, 1, 1]], 0)
+    # the last column is zero
+    assert_det([[1, 2, 0], [3, 4, 0], [5, 6, 0]], 0)
+    # the last pivot is 0 after elimination
+    assert_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 0)
+    assert_det([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 1, 4], [0, 0, 1, 1]], 0)
+
+
+def chain_matrices(g, o, basis, a):
+    """The edge, vertex and cycle matrices chain_determinant_check eliminates."""
+    sep = induced_signed_edge_perm(g, o, a)
+    m, n = g.edge_count, g.vertex_count
+    edge_rows = [[0] * m for _ in range(m)]
+    for e in range(m):
+        edge_rows[sep.edge_perm[e]][e] = sep.edge_sign[e]
+    vertex_rows = [[0] * n for _ in range(n)]
+    for v in range(n):
+        vertex_rows[a.vertex_perm[v]][v] = 1
+    return edge_rows, vertex_rows, induced_cycle_matrix(g, o, basis, a).to_rows()
+
+
+LOOP4 = "v 1\n" + "e 0 0\n" * 4
+PARALLEL5 = "v 2\n" + "e 0 1\n" * 5
+
+
+@pytest.mark.parametrize("text, order", [(LOOP4, 384), (PARALLEL5, 240)],
+                         ids=["loop4", "parallel5"])
+def test_every_chain_determinant_matches_the_oracles(text, order):
+    g = parse_graph(text)
+    o, basis = basis_of(g)
+    auts = enumerate_automorphisms(g)
+    assert len(auts) == order
+    for a in auts:
+        factors = chain_determinant_check(g, o, basis, a)
+        edge_rows, vertex_rows, cycle_rows = chain_matrices(g, o, basis, a)
+        assert factors.edge_space_det == assert_det(edge_rows)
+        assert factors.vertex_space_det == assert_det(vertex_rows)
+        assert factors.cycle_space_det == assert_det(cycle_rows)
+        assert factors.consistent
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (LOOP4, "cd6e94974fcc884236d43376f80ac733231ca3861e02d227969cae62b3495c23"),
+        (PARALLEL5, "b90f73212356164bfbeea8bec66b6c9b23f01362ff8a24284b6585e383deddc4"),
+    ],
+    ids=["loop4", "parallel5"],
+)
+def test_compute_diagnostics_output_is_pinned(tmp_path, capsys, text, digest):
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", "--diagnostics", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
