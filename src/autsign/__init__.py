@@ -50,7 +50,6 @@ from .signs import (
     component_permutation_sign,
     has_odd_automorphism,
     homological_sign,
-    homological_sign_extended,
     verify_graph,
 )
 from .sweep import (
@@ -64,48 +63,3 @@ from .sweep import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Automorphism",
-    "ComponentPartition",
-    "CycleBasis",
-    "CycleSpaceTooLargeError",
-    "DeterminantFactors",
-    "GraphFormatError",
-    "GroupTooLargeError",
-    "IntMatrix",
-    "Multigraph",
-    "Orientation",
-    "SignComparison",
-    "SignedEdgePermutation",
-    "SpanningForest",
-    "SweepParams",
-    "TheoremFailure",
-    "UnimodularityError",
-    "VerificationReport",
-    "census_orientable",
-    "chain_determinant_check",
-    "combinatorial_sign",
-    "component_permutation_sign",
-    "cycle_notation",
-    "det_bareiss",
-    "det_cofactor",
-    "det_sign",
-    "enumerate_automorphisms",
-    "enumerate_multigraphs",
-    "fundamental_cycles",
-    "has_odd_automorphism",
-    "homological_sign",
-    "homological_sign_extended",
-    "induced_cycle_matrix",
-    "induced_signed_edge_perm",
-    "parse_graph",
-    "permutation_sign",
-    "random_orientation",
-    "reference_orientation",
-    "serialize",
-    "serialize_compact",
-    "spanning_forest",
-    "stream_automorphisms",
-    "sweep_verify",
-    "verify_graph",
-]

@@ -44,7 +44,7 @@ from .signs import (
     SignComparison,
     combinatorial_sign,
     comparisons,
-    homological_sign_extended,
+    homological_sign,
     verify_graph,
 )
 from .sweep import SweepParams, census_orientable, ordered_map, sweep_verify
@@ -208,7 +208,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
         roots_ok = True
         for root in range(g.vertex_count):
             basis = fundamental_cycles(g, o, spanning_forest(g, root=root))
-            signs = tuple(homological_sign_extended(g, o, basis, a) for a in auts)
+            signs = tuple(homological_sign(g, o, basis, a) for a in auts)
             roots_ok = roots_ok and signs == tuple(r.homological for r in results)
         add(f"{name}: root-independent", roots_ok)
         rng = random.Random(12345)

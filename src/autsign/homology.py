@@ -103,60 +103,47 @@ class CycleBasis:
         return tuple(row)
 
 
-def _tree_path(
-    adjacency: dict[int, list[tuple[int, int]]], start: int, goal: int
-) -> list[tuple[int, int, int]]:
-    """Steps (from_vertex, edge, to_vertex) along the unique forest path."""
-    if start == goal:
-        return []
-    parent: dict[int, tuple[int, int] | None] = {start: None}
-    queue = [start]
-    qi = 0
-    while qi < len(queue) and goal not in parent:
-        u = queue[qi]
-        qi += 1
-        for e, w in adjacency[u]:
-            if w not in parent:
-                parent[w] = (u, e)
-                queue.append(w)
-    if goal not in parent:
-        raise ValueError("forest does not connect the endpoints of a non-tree edge")
-    steps: list[tuple[int, int, int]] = []
-    v = goal
-    while True:
-        prev = parent[v]
-        if prev is None:
-            break
-        u, e = prev
-        steps.append((u, e, v))
-        v = u
-    steps.reverse()
-    return steps
-
-
 def fundamental_cycles(g: Multigraph, o: Orientation, forest: SpanningForest) -> CycleBasis:
     """One cycle per non-tree edge: the edge plus the forest path closing it.
 
-    Tree edges are signed by traversal direction against the reference
-    orientation, which makes every cycle lie in the kernel of the boundary.
+    The path is read off the forest's parent edges, climbing from the edge's
+    head and from its tail, the deeper end first, until the two climbs meet.
+    Walked from the head back to the tail, a tree edge is signed +1 where it
+    is traversed along its arrow, which puts every cycle in the kernel of
+    the boundary.
     Raises CycleSpaceTooLargeError before building anything when the cycle
-    rank is above MAX_CYCLE_RANK.
+    rank is above MAX_CYCLE_RANK, and ValueError when ``forest`` is not a
+    spanning forest of ``g``.
     """
     check_cycle_rank(g)
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.vertex_count)}
-    for e in forest.tree_edges:
-        a, b = g.edge_ends(e)
-        adjacency[a].append((e, b))
-        adjacency[b].append((e, a))
-    non_tree = tuple(e for e in range(g.edge_count) if e not in forest.tree_edges)
+    parent_edge, depth, tree = forest.parent_edge, forest.depth, forest.tree_edges
+    non_tree = tuple(e for e in range(g.edge_count) if e not in tree)
+    if len(non_tree) != g.cycle_rank or not len(parent_edge) == len(depth) == g.vertex_count:
+        raise ValueError("forest does not belong to the graph")
+
+    def climb(x: int) -> tuple[int, int, int]:
+        """x's parent edge, the parent, and +1 when the edge's tail is at x."""
+        f = parent_edge[x]
+        if f in tree and 0 <= f < g.edge_count:
+            a, b = g.edge_ends(f)
+            up = b if a == x else a
+            if x in (a, b) and depth[up] == depth[x] - 1:
+                return f, up, 1 if g.endpoint[o.tail[f]] == x else -1
+        raise ValueError("forest does not connect the endpoints of a non-tree edge")
+
     cycles: list[tuple[int, ...]] = []
     for e in non_tree:
-        tail_v = g.endpoint[o.tail[e]]
-        head_v = g.endpoint[o.head(e)]
+        x = g.endpoint[o.head(e)]
+        y = g.endpoint[o.tail[e]]
         coeff = [0] * g.edge_count
         coeff[e] = 1
-        for u, f, _w in _tree_path(adjacency, head_v, tail_v):
-            coeff[f] = 1 if g.endpoint[o.tail[f]] == u else -1
+        while x != y:
+            if depth[x] >= depth[y]:
+                f, x, s = climb(x)
+                coeff[f] = s
+            else:
+                f, y, s = climb(y)
+                coeff[f] = -s
         cycles.append(tuple(coeff))
     return CycleBasis(non_tree, tuple(cycles))
 

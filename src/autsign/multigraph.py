@@ -8,6 +8,7 @@ construction and safe to share between workers.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,8 +21,7 @@ from typing import Iterable, Iterator
 # error before any per-vertex table is allocated.
 MAX_VERTICES = 100_000
 # The largest edge count parse_graph accepts. Every listed automorphism holds
-# a half-edge permutation with two entries per edge (1.6 MB at the cap), and
-# the spanning forest scans all edges once per tree edge.
+# a half-edge permutation with two entries per edge (1.6 MB at the cap).
 MAX_EDGES = 100_000
 
 
@@ -39,10 +39,16 @@ class ComponentPartition:
 
 @dataclass(frozen=True)
 class SpanningForest:
-    """A spanning tree per component, plus the root each tree was grown from."""
+    """A spanning tree per component, plus the root each tree was grown from.
+
+    ``parent_edge[v]`` is the tree edge joining v to its parent, -1 at a root,
+    and ``depth[v]`` counts the tree edges between v and its root.
+    """
 
     tree_edges: frozenset[int]
     root_of_component: tuple[int, ...]
+    parent_edge: tuple[int, ...]
+    depth: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -95,22 +101,11 @@ class Multigraph:
     # -- structure queries -------------------------------------------------
 
     @property
-    def half_edge_count(self) -> int:
-        return len(self.endpoint)
-
-    @property
     def edge_count(self) -> int:
         return len(self.endpoint) // 2
 
-    def pair(self, h: int) -> int:
-        """The other half of h's edge."""
-        return h ^ 1
-
     def edge_ends(self, e: int) -> tuple[int, int]:
         return self.endpoint[2 * e], self.endpoint[2 * e + 1]
-
-    def is_loop(self, e: int) -> bool:
-        return self.endpoint[2 * e] == self.endpoint[2 * e + 1]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for e in range(self.edge_count):
@@ -135,10 +130,6 @@ class Multigraph:
             key = (a, b) if a <= b else (b, a)
             mult[key] = mult.get(key, 0) + 1
         return mult
-
-    def multiplicity(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        return self.edge_multiplicities.get(key, 0)
 
     def loop_count(self, v: int) -> int:
         return self.edge_multiplicities.get((v, v), 0)
@@ -187,8 +178,11 @@ def spanning_forest(g: Multigraph, root: int | None = None) -> SpanningForest:
     """Grow each component's tree by repeatedly adding the smallest-index
     non-loop edge joining a reached vertex to an unreached one.
 
-    Components are rooted at their smallest vertex; if ``root`` is given, its
-    component is rooted there instead. Deterministic for a given graph.
+    The half-edges at reached vertices wait in a heap keyed by index, so
+    ``h >> 1`` orders them by edge; a popped half-edge whose far end is
+    already reached (a loop among them) never joins the tree. Components are
+    rooted at their smallest vertex; if ``root`` is given, its component is
+    rooted there instead. Deterministic for a given graph.
     """
     parts = g.components
     roots = [-1] * parts.component_count
@@ -199,23 +193,24 @@ def spanning_forest(g: Multigraph, root: int | None = None) -> SpanningForest:
             raise ValueError(f"root vertex {root} out of range")
         roots[parts.component_of[root]] = root
 
+    parent_edge = [-1] * g.vertex_count
+    depth = [0] * g.vertex_count
     reached = [False] * g.vertex_count
-    tree: list[int] = []
     for r in roots:
         reached[r] = True
-        while True:
-            pick = -1
-            for e in range(g.edge_count):
-                a, b = g.edge_ends(e)
-                if a != b and reached[a] != reached[b]:
-                    pick = e
-                    break
-            if pick < 0:
-                break
-            tree.append(pick)
-            a, b = g.edge_ends(pick)
-            reached[b if reached[a] else a] = True
-    return SpanningForest(frozenset(tree), tuple(roots))
+        heap = list(g._half_edges_at[r])  # ascending, so already a heap
+        while heap:
+            h = heapq.heappop(heap)
+            v, w = g.endpoint[h], g.endpoint[h ^ 1]
+            if reached[w]:
+                continue
+            reached[w] = True
+            parent_edge[w] = h >> 1
+            depth[w] = depth[v] + 1
+            for k in g._half_edges_at[w]:
+                heapq.heappush(heap, k)
+    tree = frozenset(e for e in parent_edge if e >= 0)
+    return SpanningForest(tree, tuple(roots), tuple(parent_edge), tuple(depth))
 
 
 def _int_field(fields: list[str], index: int, lineno: int, what: str) -> int:

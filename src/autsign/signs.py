@@ -4,9 +4,8 @@
 of -1 per arrow-reversing edge; it never touches homology and is independent
 of the chosen orientation. ``homological_sign`` multiplies the edge
 permutation's parity by the determinant sign of the induced action on the
-cycle space. The two agree on connected graphs; on disconnected graphs the
-homological route additionally needs the parity of the induced permutation of
-components (``homological_sign_extended``).
+cycle space and by the parity of the induced permutation of components, which
+is +1 on a connected graph. The two routes agree on every multigraph.
 """
 from __future__ import annotations
 
@@ -77,20 +76,6 @@ def combinatorial_sign(g: Multigraph, o: Orientation, a: Automorphism) -> int:
     return prod(sep.edge_sign, start=permutation_sign(a.vertex_perm))
 
 
-def homological_sign(
-    g: Multigraph, o: Orientation, basis: CycleBasis, a: Automorphism
-) -> int:
-    """sign(edge permutation) times the det sign of the cycle-space action.
-
-    Defined on connected graphs only; use homological_sign_extended otherwise.
-    """
-    if not g.is_connected:
-        raise ValueError(
-            "homological_sign needs a connected graph; use homological_sign_extended"
-        )
-    return homological_sign_extended(g, o, basis, a)
-
-
 def component_permutation_sign(g: Multigraph, a: Automorphism) -> int:
     """Parity of the permutation the automorphism induces on components."""
     parts = g.components
@@ -102,13 +87,11 @@ def component_permutation_sign(g: Multigraph, a: Automorphism) -> int:
     return permutation_sign(perm)
 
 
-def homological_sign_extended(
+def homological_sign(
     g: Multigraph, o: Orientation, basis: CycleBasis, a: Automorphism
 ) -> int:
-    """Total version of homological_sign: multiplies in the component parity.
-
-    Coincides with homological_sign on connected graphs.
-    """
+    """sign(edge permutation) times the det sign of the cycle-space action
+    times the component parity, which is +1 on a connected graph."""
     sep = induced_signed_edge_perm(g, o, a)
     return (
         permutation_sign(sep.edge_perm)

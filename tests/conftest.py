@@ -1,23 +1,32 @@
+from typing import NamedTuple
+
 import pytest
 from hypothesis import strategies as st
 
 from autsign import Multigraph, parse_graph
 
-GOLDEN_TEXTS = {
-    "loop": "v 1\ne 0 0\n",
-    "single_edge": "v 2\ne 0 1\n",
-    "double_edge": "v 2\ne 0 1\ne 0 1\n",
-    "triangle": "v 3\ne 0 1\ne 1 2\ne 2 0\n",
-    "path3": "v 3\ne 0 1\ne 1 2\n",
-    "path4": "v 4\ne 0 1\ne 1 2\ne 2 3\n",
-    "loop_plus_edge": "v 2\ne 0 0\ne 0 1\n",
-    "two_edges_disjoint": "v 4\ne 0 1\ne 2 3\n",
+class Golden(NamedTuple):
+    text: str
+    signs: tuple[int, ...]  # per automorphism, in enumeration order
+
+
+# The golden graphs and the sign of each automorphism, derived independently
+# by brute force over all half-edge permutations plus the chain determinants.
+GOLDENS = {
+    "loop": Golden("v 1\ne 0 0\n", (1, -1)),
+    "single_edge": Golden("v 2\ne 0 1\n", (1, 1)),
+    "double_edge": Golden("v 2\ne 0 1\ne 0 1\n", (1, 1, -1, -1)),
+    "triangle": Golden("v 3\ne 0 1\ne 1 2\ne 2 0\n", (1, 1, 1, 1, 1, 1)),
+    "path3": Golden("v 3\ne 0 1\ne 1 2\n", (1, -1)),
+    "path4": Golden("v 4\ne 0 1\ne 1 2\ne 2 3\n", (1, -1)),
+    "loop_plus_edge": Golden("v 2\ne 0 0\ne 0 1\n", (1, -1)),
+    "two_edges_disjoint": Golden("v 4\ne 0 1\ne 2 3\n", (1, 1, 1, 1, 1, 1, 1, 1)),
 }
 
 
 @pytest.fixture
 def golden():
-    return {name: parse_graph(text) for name, text in GOLDEN_TEXTS.items()}
+    return {name: parse_graph(text) for name, (text, _) in GOLDENS.items()}
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the library's production paths: automorphisms
 come from filtering all half-edge permutations, determinants from the
-permutation-sum formula, parities from inversion counting. The group
+permutation-sum formula, parities from inversion counting, spanning forests
+from rescanning every edge per tree edge. The group
 operations, the boundary matrix and the matrix product serve only the tests'
 algebraic laws, so they live here too.
 """
@@ -16,8 +17,8 @@ from autsign import Automorphism, IntMatrix, Multigraph, Orientation
 def brute_force_automorphisms(g: Multigraph) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (vertex_perm, half_edge_perm) pairs, by filtering every half-edge
     permutation for pairing- and endpoint-compatibility. Feasible only for
-    half_edge_count <= 8."""
-    H = g.half_edge_count
+    at most 8 half-edges."""
+    H = len(g.endpoint)
     touched = sorted({g.endpoint[h] for h in range(H)})
     isolated = [v for v in range(g.vertex_count) if v not in touched]
     out: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -78,20 +79,20 @@ def det_permutation_sum(m: IntMatrix) -> int:
 
 def identity_automorphism(g: Multigraph) -> Automorphism:
     return Automorphism(
-        tuple(range(g.half_edge_count)), tuple(range(g.vertex_count))
+        tuple(range(len(g.endpoint))), tuple(range(g.vertex_count))
     )
 
 
 def check_automorphism(g: Multigraph, a: Automorphism) -> None:
     """Raise ValueError unless ``a`` really is an automorphism of ``g``."""
     hep, vperm = a.half_edge_perm, a.vertex_perm
-    if len(hep) != g.half_edge_count or len(vperm) != g.vertex_count:
+    if len(hep) != len(g.endpoint) or len(vperm) != g.vertex_count:
         raise ValueError("automorphism size does not match the graph")
-    if sorted(hep) != list(range(g.half_edge_count)):
+    if sorted(hep) != list(range(len(g.endpoint))):
         raise ValueError("half_edge_perm is not a permutation")
     if sorted(vperm) != list(range(g.vertex_count)):
         raise ValueError("vertex_perm is not a permutation")
-    for h in range(g.half_edge_count):
+    for h in range(len(g.endpoint)):
         if hep[h ^ 1] != hep[h] ^ 1:
             raise ValueError("half_edge_perm does not commute with the edge pairing")
         if g.endpoint[hep[h]] != vperm[g.endpoint[h]]:
@@ -143,3 +144,31 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for j in range(b.cols):
             flat.append(sum(ri[k] * b.entry(k, j) for k in range(a.cols)))
     return IntMatrix(a.rows, b.cols, tuple(flat))
+
+
+def scan_spanning_forest(
+    g: Multigraph, root: int | None = None
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The tree edges and per-component roots of spanning_forest's rule: each
+    component, rooted at its smallest vertex or at ``root``, grows by the
+    smallest-index non-loop edge joining a reached vertex to an unreached
+    one, found by scanning every edge from index 0. O(V * E)."""
+    parts = g.components
+    roots = [-1] * parts.component_count
+    for v in range(g.vertex_count - 1, -1, -1):
+        roots[parts.component_of[v]] = v
+    if root is not None:
+        roots[parts.component_of[root]] = root
+    reached = [False] * g.vertex_count
+    tree: list[int] = []
+    for r in roots:
+        reached[r] = True
+        while True:
+            ends = enumerate(g.edges())
+            pick = next((e for e, (a, b) in ends if a != b and reached[a] != reached[b]), -1)
+            if pick < 0:
+                break
+            tree.append(pick)
+            a, b = g.edge_ends(pick)
+            reached[b if reached[a] else a] = True
+    return frozenset(tree), tuple(roots)

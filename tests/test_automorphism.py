@@ -27,7 +27,7 @@ from autsign import (
 from autsign.automorphism import automorphism_shares
 from autsign.cli import main
 from autsign.signs import comparisons
-from conftest import GOLDEN_TEXTS, multigraphs
+from conftest import GOLDENS, multigraphs
 from oracles import (
     adjacency_preserving_vertex_perms,
     brute_force_automorphisms,
@@ -38,21 +38,12 @@ from oracles import (
     invert,
 )
 
-EXPECTED_COUNTS = {
-    "loop": 2,
-    "single_edge": 2,
-    "double_edge": 4,
-    "triangle": 6,
-    "path3": 2,
-    "path4": 2,
-    "loop_plus_edge": 2,
-    "two_edges_disjoint": 8,
-}
 
-
-@pytest.mark.parametrize("name, count", sorted(EXPECTED_COUNTS.items()))
+@pytest.mark.parametrize(
+    "name, count", sorted((name, len(signs)) for name, (_, signs) in GOLDENS.items())
+)
 def test_group_sizes(name, count):
-    g = parse_graph(GOLDEN_TEXTS[name])
+    g = parse_graph(GOLDENS[name].text)
     assert len(enumerate_automorphisms(g)) == count
 
 
@@ -279,7 +270,7 @@ def test_triangle_group_frozen_order(golden):
     ["loop", "single_edge", "double_edge", "path3", "loop_plus_edge", "triangle"],
 )
 def test_agrees_with_half_edge_brute_force(name):
-    g = parse_graph(GOLDEN_TEXTS[name])
+    g = parse_graph(GOLDENS[name].text)
     got = {(a.vertex_perm, a.half_edge_perm) for a in enumerate_automorphisms(g)}
     assert got == brute_force_automorphisms(g)
 

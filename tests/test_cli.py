@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import autsign.automorphism
+import autsign.cli
 import autsign.sweep
 from autsign import (
     enumerate_automorphisms,
@@ -17,7 +18,7 @@ from autsign import (
 )
 from autsign.cli import main
 from autsign.sweep import CHUNK_GRAPHS
-from conftest import GOLDEN_TEXTS
+from conftest import GOLDENS
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ def graph_file(tmp_path):
 
 
 def test_compute_loop_golden_output(graph_file, capsys):
-    rc = main(["compute", graph_file(GOLDEN_TEXTS["loop"])])
+    rc = main(["compute", graph_file(GOLDENS["loop"].text)])
     out = capsys.readouterr().out
     assert rc == 0
     assert out == (
@@ -83,7 +84,7 @@ def test_compute_loop_golden_output(graph_file, capsys):
     ],
 )
 def test_compute_golden_output_with_diagnostics(graph_file, capsys, name, flags, expected):
-    rc = main(["compute", graph_file(GOLDEN_TEXTS[name]), *flags])
+    rc = main(["compute", graph_file(GOLDENS[name].text), *flags])
     assert rc == 0
     assert capsys.readouterr().out == expected
 
@@ -135,7 +136,7 @@ def test_a_group_of_one_chunk_is_computed_without_a_fork(monkeypatch, graph_file
 
     monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 3)
-    for name, text in GOLDEN_TEXTS.items():
+    for name, (text, _) in GOLDENS.items():
         assert main(["compute", "--extended", graph_file(text)]) == 0, name
     # the orders of the golden groups, none above one chunk
     assert capsys.readouterr().out.count(" agree=yes") == 2 + 2 + 4 + 6 + 2 + 2 + 2 + 8
@@ -170,13 +171,13 @@ def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_fi
     # vertex parity one per vertex-bijection block. On connected graphs the
     # component parity takes none.
     for name in ("loop", "double_edge", "triangle", "path4", "loop_plus_edge"):
-        g = parse_graph(GOLDEN_TEXTS[name])
+        g = parse_graph(GOLDENS[name].text)
         auts = enumerate_automorphisms(g)
         order, blocks = len(auts), len({a.vertex_perm for a in auts})
         # one chunk, so compute runs in this process, where the profile sees it
         assert order <= CHUNK_GRAPHS, name
         expected = {"induced_signed_edge_perm": order, "permutation_sign": order + blocks}
-        path = graph_file(GOLDEN_TEXTS[name])
+        path = graph_file(GOLDENS[name].text)
         counted = (induced_signed_edge_perm, permutation_sign)
         assert count_calls(counted, lambda: main(["compute", path])) == expected, name
         assert count_calls(counted, lambda: verify_graph(g)) == expected, name
@@ -184,14 +185,14 @@ def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_fi
 
 
 def test_compute_diagnostics_columns(graph_file, capsys):
-    rc = main(["compute", graph_file(GOLDEN_TEXTS["loop"]), "--diagnostics"])
+    rc = main(["compute", graph_file(GOLDENS["loop"].text), "--diagnostics"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "det_edges=-1 det_vertices=+1 det_cycles=-1 comp_sign=+1" in out
 
 
 def test_compute_triangle_all_agree(graph_file, capsys):
-    rc = main(["compute", graph_file(GOLDEN_TEXTS["triangle"])])
+    rc = main(["compute", graph_file(GOLDENS["triangle"].text)])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("agree=yes") == 6
@@ -199,7 +200,7 @@ def test_compute_triangle_all_agree(graph_file, capsys):
 
 
 def test_compute_disconnected_requires_extended(graph_file, capsys):
-    path = graph_file(GOLDEN_TEXTS["two_edges_disjoint"])
+    path = graph_file(GOLDENS["two_edges_disjoint"].text)
     rc = main(["compute", path])
     captured = capsys.readouterr()
     assert rc == 2
@@ -426,12 +427,59 @@ def test_census_output(capsys):
     assert captured.out == ("v 1\teven\n" "v 1; e 0 0\todd\n" "# graphs: 2\todd: 1\n")
 
 
+SELFTEST_STDOUT = (
+    "ok   loop: round-trip\n"
+    "ok   loop: automorphism count 2\n"
+    "ok   loop: signs (1, -1)\n"
+    "ok   loop: both routes agree\n"
+    "ok   loop: chain determinants consistent\n"
+    "ok   loop: root-independent\n"
+    "ok   loop: orientation-independent\n"
+    "ok   single-edge: round-trip\n"
+    "ok   single-edge: automorphism count 2\n"
+    "ok   single-edge: signs (1, 1)\n"
+    "ok   single-edge: both routes agree\n"
+    "ok   single-edge: chain determinants consistent\n"
+    "ok   single-edge: root-independent\n"
+    "ok   single-edge: orientation-independent\n"
+    "ok   double-edge: round-trip\n"
+    "ok   double-edge: automorphism count 4\n"
+    "ok   double-edge: signs (1, 1, -1, -1)\n"
+    "ok   double-edge: both routes agree\n"
+    "ok   double-edge: chain determinants consistent\n"
+    "ok   double-edge: root-independent\n"
+    "ok   double-edge: orientation-independent\n"
+    "ok   triangle: round-trip\n"
+    "ok   triangle: automorphism count 6\n"
+    "ok   triangle: signs (1, 1, 1, 1, 1, 1)\n"
+    "ok   triangle: both routes agree\n"
+    "ok   triangle: chain determinants consistent\n"
+    "ok   triangle: root-independent\n"
+    "ok   triangle: orientation-independent\n"
+    "ok   path3: round-trip\n"
+    "ok   path3: automorphism count 2\n"
+    "ok   path3: signs (1, -1)\n"
+    "ok   path3: both routes agree\n"
+    "ok   path3: chain determinants consistent\n"
+    "ok   path3: root-independent\n"
+    "ok   path3: orientation-independent\n"
+    "ok   determinant cross-check: all 2x2 over {-1,0,1}\n"
+    "ok   determinant cross-check: random up to 5x5\n"
+    "selftest: PASS (37/37)\n"
+)
+
+
 def test_selftest_passes(capsys):
     rc = main(["selftest"])
-    out = capsys.readouterr().out
     assert rc == 0
-    assert "selftest: PASS" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out == SELFTEST_STDOUT
+
+
+def test_the_selftest_goldens_are_rows_of_the_test_goldens():
+    for name, text, signs in autsign.cli._GOLDENS:
+        golden = GOLDENS[name.replace("-", "_")]
+        assert parse_graph(text) == parse_graph(golden.text), name
+        assert signs == golden.signs, name
 
 
 def test_module_entry_point():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 import sympy
@@ -10,6 +11,8 @@ import autsign.homology
 from autsign import (
     CycleSpaceTooLargeError,
     IntMatrix,
+    Multigraph,
+    SpanningForest,
     UnimodularityError,
     chain_determinant_check,
     det_bareiss,
@@ -25,7 +28,7 @@ from autsign import (
 )
 from autsign.cli import main
 from autsign.homology import _bareiss
-from conftest import GOLDEN_TEXTS, multigraphs
+from conftest import GOLDENS, multigraphs
 from oracles import (
     boundary_matrix,
     compose,
@@ -42,21 +45,21 @@ def basis_of(g):
 
 
 def test_boundary_loop_is_zero():
-    g = parse_graph(GOLDEN_TEXTS["loop"])
+    g = parse_graph(GOLDENS["loop"].text)
     m = boundary_matrix(g, reference_orientation(g))
     assert (m.rows, m.cols) == (1, 1)
     assert m.entries == (0,)
 
 
 def test_boundary_single_edge():
-    g = parse_graph(GOLDEN_TEXTS["single_edge"])
+    g = parse_graph(GOLDENS["single_edge"].text)
     m = boundary_matrix(g, reference_orientation(g))
     assert m.entry(0, 0) == -1  # tail vertex
     assert m.entry(1, 0) == 1  # head vertex
 
 
 def test_boundary_triangle_columns():
-    g = parse_graph(GOLDEN_TEXTS["triangle"])
+    g = parse_graph(GOLDENS["triangle"].text)
     m = boundary_matrix(g, reference_orientation(g))
     for e in range(3):
         column = [m.entry(v, e) for v in range(3)]
@@ -65,17 +68,17 @@ def test_boundary_triangle_columns():
 
 
 def test_cycle_goldens():
-    g = parse_graph(GOLDEN_TEXTS["loop"])
+    g = parse_graph(GOLDENS["loop"].text)
     _, basis = basis_of(g)
     assert basis.non_tree_edges == (0,)
     assert basis.cycles == ((1,),)
 
-    g = parse_graph(GOLDEN_TEXTS["triangle"])
+    g = parse_graph(GOLDENS["triangle"].text)
     _, basis = basis_of(g)
     assert basis.non_tree_edges == (2,)
     assert basis.cycles == ((1, 1, 1),)
 
-    g = parse_graph(GOLDEN_TEXTS["double_edge"])
+    g = parse_graph(GOLDENS["double_edge"].text)
     _, basis = basis_of(g)
     assert basis.non_tree_edges == (1,)
     assert basis.cycles == ((-1, 1),)
@@ -175,6 +178,63 @@ def test_a_cycle_space_above_the_cap_is_refused_before_it_is_built(monkeypatch):
         fundamental_cycles(g, o, forest)
     monkeypatch.setattr(autsign.homology, "MAX_CYCLE_RANK", 65)
     assert len(fundamental_cycles(g, o, forest).cycles) == 65
+
+
+def test_the_basis_of_a_20000_vertex_path_is_built_within_10_s():
+    # A path plus one chord from end to end: the forest walk and the climb
+    # take milliseconds here, where a forest that rescans every edge per
+    # tree edge takes about a minute.
+    n = 20_000
+    g = Multigraph.from_edges(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
+    o = reference_orientation(g)
+    start = time.perf_counter()
+    basis = fundamental_cycles(g, o, spanning_forest(g))
+    assert time.perf_counter() - start < 10
+    assert basis.non_tree_edges == (n - 1,)
+    # the chord runs 0 -> n-1, and the path back runs against every arrow
+    assert basis.cycles[0] == (-1,) * (n - 1) + (1,)
+
+
+@pytest.mark.parametrize(
+    "text, other",
+    [
+        ("v 3\ne 0 1\ne 1 2\ne 2 0\n", "v 4\ne 0 1\ne 1 2\ne 2 3\n"),  # one vertex more
+        # parent edge 1 is 0-2 there, 1-2 here
+        ("v 3\ne 0 1\ne 1 2\ne 2 0\n", "v 3\ne 0 1\ne 0 2\n"),
+        # parent edge 0 is 2-0 there, 0-1 here
+        ("v 3\ne 0 1\ne 1 2\ne 2 0\n", "v 3\ne 2 0\ne 0 1\n"),
+        # one tree edge too few, or one too many
+        ("v 3\ne 0 1\ne 1 2\ne 2 0\n", "v 3\ne 0 1\n"),
+        ("v 2\ne 0 0\ne 1 1\n", "v 2\ne 0 1\n"),
+    ],
+    ids=["vertex-count", "parent-edge-1", "parent-edge-0", "too-few", "too-many"],
+)
+def test_fundamental_cycles_refuse_a_forest_of_another_graph(text, other):
+    g = parse_graph(text)
+    with pytest.raises(ValueError, match="forest does"):
+        fundamental_cycles(g, reference_orientation(g), spanning_forest(parse_graph(other)))
+
+
+@pytest.mark.parametrize(
+    "forest",
+    [
+        # parent edges 0 and 1 lead 0 -> 1 -> 0, with depths that do not fall
+        SpanningForest(frozenset({0, 1}), (0,), (0, 0, 1), (0, 0, 0)),
+        # a parent edge past the graph's edges, or -1, which would index
+        # the last edge from the end
+        SpanningForest(frozenset({0, 1, 7}), (0,), (-1, 0, 7), (0, 1, 2)),
+        SpanningForest(frozenset({-1, 0, 1}), (0,), (-1, -1, 1), (0, 1, 2)),
+        # a parent edge that is not listed as a tree edge
+        SpanningForest(frozenset({0, 2}), (0,), (-1, 0, 1), (0, 1, 2)),
+    ],
+    ids=["cyclic", "past-the-edges", "minus-one", "not-a-tree-edge"],
+)
+def test_fundamental_cycles_refuse_an_inconsistent_forest(forest):
+    # a triangle with edge 0-1 doubled, so every forest above leaves the
+    # two non-tree edges its cycle rank asks for
+    g = parse_graph("v 3\ne 0 1\ne 1 2\ne 2 0\ne 0 1\n")
+    with pytest.raises(ValueError, match="forest does not connect"):
+        fundamental_cycles(g, reference_orientation(g), forest)
 
 
 def test_det_basics():

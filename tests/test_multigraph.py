@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from autsign import (
     GraphFormatError,
     Multigraph,
+    SweepParams,
+    enumerate_multigraphs,
     parse_graph,
     random_orientation,
     reference_orientation,
@@ -16,29 +18,30 @@ from autsign import (
     spanning_forest,
 )
 from autsign.multigraph import MAX_EDGES
-from conftest import GOLDEN_TEXTS, multigraphs
+from conftest import GOLDENS, multigraphs
+from oracles import scan_spanning_forest
 
 
 def test_parse_loop():
-    g = parse_graph(GOLDEN_TEXTS["loop"])
+    g = parse_graph(GOLDENS["loop"].text)
     assert g.vertex_count == 1
     assert g.edge_count == 1
     assert g.endpoint == (0, 0)
-    assert g.is_loop(0)
+    assert g.edge_ends(0) == (0, 0)
 
 
 def test_parse_triangle():
-    g = parse_graph(GOLDEN_TEXTS["triangle"])
+    g = parse_graph(GOLDENS["triangle"].text)
     assert g.vertex_count == 3
     assert g.edge_count == 3
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_parse_double_edge_keeps_distinct_orbits():
-    g = parse_graph(GOLDEN_TEXTS["double_edge"])
+    g = parse_graph(GOLDENS["double_edge"].text)
     assert g.edge_count == 2
     assert g.edge_ends(0) == g.edge_ends(1) == (0, 1)
-    assert g.multiplicity(0, 1) == 2
+    assert g.edge_multiplicities == {(0, 1): 2}
 
 
 def test_parse_comments_blanks_and_compact_form():
@@ -52,7 +55,7 @@ def test_readme_format_example_parses_to_the_triangle():
     section = readme.split("## Graph file format", 1)[1]
     example = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
     assert "v 3        #" in example
-    assert parse_graph(example) == parse_graph(GOLDEN_TEXTS["triangle"])
+    assert parse_graph(example) == parse_graph(GOLDENS["triangle"].text)
 
 
 @given(st.text())
@@ -64,10 +67,10 @@ def test_only_format_errors_escape_the_parser(text):
 
 
 def test_pairing_is_fixed_point_free_involution():
-    g = parse_graph(GOLDEN_TEXTS["triangle"])
-    for h in range(g.half_edge_count):
-        assert g.pair(g.pair(h)) == h
-        assert g.pair(h) != h
+    g = parse_graph(GOLDENS["triangle"].text)
+    for h in range(len(g.endpoint)):
+        assert h ^ 1 ^ 1 == h
+        assert h ^ 1 != h
 
 
 @pytest.mark.parametrize(
@@ -105,9 +108,9 @@ def test_parse_error_reports_correct_line():
         parse_graph("v 3\n# fine\ne 0 1\ne 0 9\n")
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_TEXTS))
+@pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_round_trip_goldens(name):
-    g = parse_graph(GOLDEN_TEXTS[name])
+    g = parse_graph(GOLDENS[name].text)
     assert parse_graph(serialize(g)) == g
     assert parse_graph(serialize_compact(g)) == g
 
@@ -126,9 +129,9 @@ def test_empty_graph_is_accepted():
 
 
 def test_reference_orientation_tails():
-    assert reference_orientation(parse_graph(GOLDEN_TEXTS["loop"])).tail == (0,)
-    assert reference_orientation(parse_graph(GOLDEN_TEXTS["triangle"])).tail == (0, 2, 4)
-    assert reference_orientation(parse_graph(GOLDEN_TEXTS["double_edge"])).tail == (0, 2)
+    assert reference_orientation(parse_graph(GOLDENS["loop"].text)).tail == (0,)
+    assert reference_orientation(parse_graph(GOLDENS["triangle"].text)).tail == (0, 2, 4)
+    assert reference_orientation(parse_graph(GOLDENS["double_edge"].text)).tail == (0, 2)
 
 
 def test_random_orientation_is_valid_and_seeded(golden):
@@ -185,7 +188,7 @@ def test_spanning_forest_alternate_root(golden):
 def test_spanning_forest_invariants(g):
     forest = spanning_forest(g)
     parts = g.components
-    assert not any(g.is_loop(e) for e in forest.tree_edges)
+    assert not any(a == b for a, b in map(g.edge_ends, forest.tree_edges))
     assert len(forest.tree_edges) == g.vertex_count - parts.component_count
     # within each component the tree edges connect every vertex to the root
     reach = {r: r for r in forest.root_of_component}
@@ -200,6 +203,39 @@ def test_spanning_forest_invariants(g):
                     changed = True
     for v in range(g.vertex_count):
         assert reach[v] == forest.root_of_component[parts.component_of[v]]
+
+
+def check_forest_from_every_root(g):
+    """spanning_forest from each root picks the scan oracle's forest, and its
+    parent edges and depths describe that forest."""
+    for root in range(g.vertex_count):
+        forest = spanning_forest(g, root=root)
+        tree, roots = scan_spanning_forest(g, root=root)
+        assert (forest.tree_edges, forest.root_of_component) == (tree, roots)
+        assert {e for e in forest.parent_edge if e >= 0} == tree
+        for v, e in enumerate(forest.parent_edge):
+            if e < 0:
+                assert v in roots and forest.depth[v] == 0
+            else:
+                a, b = g.edge_ends(e)
+                assert v in (a, b)
+                assert forest.depth[b if a == v else a] == forest.depth[v] - 1
+
+
+@given(multigraphs())
+def test_spanning_forest_matches_the_scan_oracle(g):
+    check_forest_from_every_root(g)
+
+
+def test_spanning_forest_matches_the_scan_oracle_on_the_connected_caps():
+    params = SweepParams(
+        max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True, connected_only=True
+    )
+    graphs = 0
+    for g in enumerate_multigraphs(params):
+        check_forest_from_every_root(g)
+        graphs += 1
+    assert graphs == 12586
 
 
 @given(multigraphs())

@@ -16,7 +16,6 @@ from autsign import (
     fundamental_cycles,
     has_odd_automorphism,
     homological_sign,
-    homological_sign_extended,
     induced_cycle_matrix,
     induced_signed_edge_perm,
     parse_graph,
@@ -27,59 +26,31 @@ from autsign import (
     stream_automorphisms,
     verify_graph,
 )
-from conftest import GOLDEN_TEXTS, multigraphs
+from conftest import GOLDENS, multigraphs
 from oracles import compose, invert
 
-# sign of every automorphism, in enumeration order, derived independently by
-# brute force over all half-edge permutations plus the chain determinants
-EXPECTED_SIGNS = {
-    "loop": (1, -1),
-    "single_edge": (1, 1),
-    "double_edge": (1, 1, -1, -1),
-    "triangle": (1, 1, 1, 1, 1, 1),
-    "path3": (1, -1),
-    "path4": (1, -1),
-    "loop_plus_edge": (1, -1),
-    "two_edges_disjoint": (1, 1, 1, 1, 1, 1, 1, 1),
-}
+GOLDEN_SIGNS = sorted((name, signs) for name, (_, signs) in GOLDENS.items())
 
 
 def setup_graph(name):
-    g = parse_graph(GOLDEN_TEXTS[name])
+    g = parse_graph(GOLDENS[name].text)
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
     return g, o, basis
 
 
-@pytest.mark.parametrize("name, expected", sorted(EXPECTED_SIGNS.items()))
+@pytest.mark.parametrize("name, expected", GOLDEN_SIGNS)
 def test_combinatorial_sign_goldens(name, expected):
     g, o, _ = setup_graph(name)
     got = tuple(combinatorial_sign(g, o, a) for a in enumerate_automorphisms(g))
     assert got == expected
 
 
-@pytest.mark.parametrize("name, expected", sorted(EXPECTED_SIGNS.items()))
+@pytest.mark.parametrize("name, expected", GOLDEN_SIGNS)
 def test_homological_sign_goldens(name, expected):
     g, o, basis = setup_graph(name)
-    got = tuple(
-        homological_sign_extended(g, o, basis, a) for a in enumerate_automorphisms(g)
-    )
+    got = tuple(homological_sign(g, o, basis, a) for a in enumerate_automorphisms(g))
     assert got == expected
-
-
-def test_homological_sign_rejects_disconnected():
-    g, o, basis = setup_graph("two_edges_disjoint")
-    with pytest.raises(ValueError, match="homological_sign_extended"):
-        homological_sign(g, o, basis, enumerate_automorphisms(g)[0])
-
-
-def test_extended_equals_plain_on_connected():
-    for name in ("loop", "triangle", "double_edge", "path4"):
-        g, o, basis = setup_graph(name)
-        for a in enumerate_automorphisms(g):
-            assert homological_sign(g, o, basis, a) == homological_sign_extended(
-                g, o, basis, a
-            )
 
 
 def test_component_swap_bookkeeping():
@@ -90,7 +61,7 @@ def test_component_swap_bookkeeping():
         a for a in enumerate_automorphisms(g) if a.vertex_perm == (2, 3, 0, 1)
     )
     assert component_permutation_sign(g, swap) == -1
-    assert homological_sign_extended(g, o, basis, swap) == 1
+    assert homological_sign(g, o, basis, swap) == 1
     assert combinatorial_sign(g, o, swap) == 1
     factors = chain_determinant_check(g, o, basis, swap)
     assert factors.component_sign == -1
@@ -172,7 +143,7 @@ def test_verify_graph_records_match_the_unfused_routes(g):
     for r in records:
         a = r.automorphism
         assert r.combinatorial == combinatorial_sign(g, o, a)
-        assert r.homological == homological_sign_extended(g, o, basis, a)
+        assert r.homological == homological_sign(g, o, basis, a)
         sep = induced_signed_edge_perm(g, o, a)
         matrix = induced_cycle_matrix(g, o, basis, a)
         assert r.homological == (
@@ -183,21 +154,11 @@ def test_verify_graph_records_match_the_unfused_routes(g):
         assert r.cycle_rank == matrix.rows == g.cycle_rank
 
 
-HAS_ODD = {
-    "loop": True,
-    "single_edge": False,
-    "double_edge": True,
-    "triangle": False,
-    "path3": True,
-    "path4": True,
-    "loop_plus_edge": True,
-    "two_edges_disjoint": False,
-}
-
-
-@pytest.mark.parametrize("name, expected", sorted(HAS_ODD.items()))
+@pytest.mark.parametrize(
+    "name, expected", [(name, -1 in signs) for name, signs in GOLDEN_SIGNS]
+)
 def test_has_odd_automorphism_goldens(name, expected):
-    assert has_odd_automorphism(parse_graph(GOLDEN_TEXTS[name])) is expected
+    assert has_odd_automorphism(parse_graph(GOLDENS[name].text)) is expected
 
 
 def test_the_loop_rule_matches_the_exhaustive_stream_on_the_full_caps():
@@ -210,7 +171,7 @@ def test_the_loop_rule_matches_the_exhaustive_stream_on_the_full_caps():
         exhaustive = any(combinatorial_sign(g, o, a) == -1 for a in stream_automorphisms(g)[1])
         assert has_odd_automorphism(g) is exhaustive, g
         graphs += 1
-        looped += any(g.is_loop(e) for e in range(g.edge_count))
+        looped += any(a == b for a, b in g.edges())
     assert (graphs, looped) == (60386, 52223)
 
 
@@ -230,7 +191,7 @@ def test_sign_homomorphism_property(golden):
         basis = fundamental_cycles(g, o, spanning_forest(g))
         auts = enumerate_automorphisms(g)
         comb = {a: combinatorial_sign(g, o, a) for a in auts}
-        hom = {a: homological_sign_extended(g, o, basis, a) for a in auts}
+        hom = {a: homological_sign(g, o, basis, a) for a in auts}
         for a in auts:
             for b in auts:
                 ab = compose(a, b)
@@ -246,9 +207,9 @@ def test_inverse_consistency(golden):
             assert combinatorial_sign(g, o, a) * combinatorial_sign(
                 g, o, invert(a)
             ) == 1
-            assert homological_sign_extended(
-                g, o, basis, a
-            ) * homological_sign_extended(g, o, basis, invert(a)) == 1
+            assert homological_sign(g, o, basis, a) * homological_sign(
+                g, o, basis, invert(a)
+            ) == 1
 
 
 @given(multigraphs(max_vertices=4, max_edges=5), st.integers(0, 2**32 - 1))
@@ -272,9 +233,9 @@ def test_homological_sign_orientation_independent(g, seed):
     o_rand = random_orientation(g, random.Random(seed))
     basis_rand = fundamental_cycles(g, o_rand, spanning_forest(g))
     for a in enumerate_automorphisms(g):
-        assert homological_sign_extended(
-            g, o_rand, basis_rand, a
-        ) == homological_sign_extended(g, o_ref, basis_ref, a)
+        assert homological_sign(g, o_rand, basis_rand, a) == homological_sign(
+            g, o_ref, basis_ref, a
+        )
 
 
 @given(multigraphs(max_vertices=4, max_edges=5))
@@ -285,7 +246,7 @@ def test_homological_sign_basis_independent(g):
     reference_signs = None
     for root in range(g.vertex_count):
         basis = fundamental_cycles(g, o, spanning_forest(g, root=root))
-        signs = [homological_sign_extended(g, o, basis, a) for a in auts]
+        signs = [homological_sign(g, o, basis, a) for a in auts]
         if reference_signs is None:
             reference_signs = signs
         assert signs == reference_signs
