@@ -87,6 +87,8 @@ def induced_signed_edge_perm(
 ) -> SignedEdgePermutation:
     """Where each edge goes and whether its arrow is preserved (+1) or reversed (-1)."""
     hep, tail = a.half_edge_perm, o.tail
+    if len(tail) != g.edge_count or len(hep) != len(g.endpoint):
+        raise ValueError("orientation or automorphism does not belong to the graph")
     edge_perm = []
     edge_sign = []
     for t in tail:

@@ -6,19 +6,18 @@ No floating point anywhere; Python ints make every determinant exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .automorphism import Automorphism, SignedEdgePermutation, induced_signed_edge_perm
 from .multigraph import Multigraph, Orientation, SpanningForest
 
-# The largest cycle rank whose cycle space is built. The basis is held dense,
-# rank x edges coefficients, and each automorphism's matrix is rank x rank,
-# so the cap bounds memory: at the cap, even MAX_EDGES edges give a basis of
-# 6.4e6 coefficients, about 51 MB of references. A seeded simple graph with
-# 300 vertices and 20000 edges (rank 19701) ran out of a 1 GiB address space
-# building its basis. Every pinned graph has rank at most 6, and the
-# isomorphism-class frontier (6-7 vertices, 7-8 edges) at most 8.
+# The largest cycle rank whose cycle space is built. The basis is sparse,
+# but each automorphism's matrix on it is dense, rank x rank, and Bareiss
+# elimination on it takes up to rank**3 steps, so the cap bounds the memory
+# and time per automorphism: a seeded simple graph with 300 vertices and
+# 20000 edges (rank 19701) would need 3.9e8 entries, about 3.1 GB of
+# references, for each matrix. Every pinned graph has rank at most 6, and
+# the isomorphism-class frontier (6-7 vertices, 7-8 edges) at most 8.
 MAX_CYCLE_RANK = 64
 
 
@@ -79,28 +78,14 @@ class IntMatrix:
 class CycleBasis:
     """Fundamental cycles of a spanning forest, as a basis of the cycle space.
 
-    ``cycles[i]`` is a dense edge-coefficient vector with +1 on
-    ``non_tree_edges[i]``, 0 on every other non-tree edge, and tree
-    coefficients in {-1, 0, +1}. The coordinates of any cycle in this basis
-    are just its non-tree-edge coefficients.
-
+    ``cycles[i]`` lists cycle i's nonzero ``(edge, coefficient)`` pairs by
+    ascending edge: +1 on its own non-tree edge, +-1 on tree edges, so a
+    cycle's coordinates in this basis are its non-tree-edge coefficients.
+    ``row_of_edge[e]`` is the index of non-tree edge e's cycle, -1 at a tree edge.
     """
 
-    non_tree_edges: tuple[int, ...]
-    cycles: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per cycle, its nonzero ``(edge, coefficient)`` pairs."""
-        return tuple(tuple((e, c) for e, c in enumerate(z) if c) for z in self.cycles)
-
-    @cached_property
-    def row_of_edge(self) -> tuple[int, ...]:
-        """Per edge, its position in ``non_tree_edges``; -1 for tree edges."""
-        row = [-1] * (len(self.cycles[0]) if self.cycles else 0)
-        for i, e in enumerate(self.non_tree_edges):
-            row[e] = i
-        return tuple(row)
+    cycles: tuple[tuple[tuple[int, int], ...], ...]
+    row_of_edge: tuple[int, ...]
 
 
 def fundamental_cycles(g: Multigraph, o: Orientation, forest: SpanningForest) -> CycleBasis:
@@ -112,40 +97,43 @@ def fundamental_cycles(g: Multigraph, o: Orientation, forest: SpanningForest) ->
     is traversed along its arrow, which puts every cycle in the kernel of
     the boundary.
     Raises CycleSpaceTooLargeError before building anything when the cycle
-    rank is above MAX_CYCLE_RANK, and ValueError when ``forest`` is not a
-    spanning forest of ``g``.
+    rank is above MAX_CYCLE_RANK, and ValueError when ``o`` is not an
+    orientation of ``g`` or ``forest`` is not a spanning forest of it.
     """
     check_cycle_rank(g)
-    parent_edge, depth, tree = forest.parent_edge, forest.depth, forest.tree_edges
-    non_tree = tuple(e for e in range(g.edge_count) if e not in tree)
-    if len(non_tree) != g.cycle_rank or not len(parent_edge) == len(depth) == g.vertex_count:
+    m, tail, parent_edge, depth = g.edge_count, o.tail, forest.parent_edge, forest.depth
+    if len(tail) != m:
+        raise ValueError("orientation does not belong to the graph")
+    if not len(parent_edge) == len(depth) == g.vertex_count:
         raise ValueError("forest does not belong to the graph")
-
-    def climb(x: int) -> tuple[int, int, int]:
-        """x's parent edge, the parent, and +1 when the edge's tail is at x."""
-        f = parent_edge[x]
-        if f in tree and 0 <= f < g.edge_count:
-            a, b = g.edge_ends(f)
-            up = b if a == x else a
-            if x in (a, b) and depth[up] == depth[x] - 1:
-                return f, up, 1 if g.endpoint[o.tail[f]] == x else -1
-        raise ValueError("forest does not connect the endpoints of a non-tree edge")
-
-    cycles: list[tuple[int, ...]] = []
-    for e in non_tree:
-        x = g.endpoint[o.head(e)]
-        y = g.endpoint[o.tail[e]]
-        coeff = [0] * g.edge_count
-        coeff[e] = 1
+    # Each vertex but a root (-1 at depth 0) steps up its parent edge a level.
+    # No two steps share an edge, so they make a forest; it spans g when it
+    # leaves out cycle_rank edges.
+    row_of_edge = [0] * m
+    for x, f in enumerate(parent_edge):
+        if f != -1 or depth[x]:
+            ends = g.edge_ends(f) if 0 <= f < m else ()
+            if x not in ends or depth[sum(ends) - x] != depth[x] - 1:
+                raise ValueError(f"forest does not connect vertex {x} to a parent")
+            row_of_edge[f] = -1
+    if m - row_of_edge.count(-1) != g.cycle_rank:
+        raise ValueError("forest does not belong to the graph")
+    cycles: list[tuple[tuple[int, int], ...]] = []
+    for e in range(m):
+        if row_of_edge[e] < 0:
+            continue
+        row_of_edge[e] = len(cycles)
+        # x climbs from the head side (s = +1) or the tail side, the deeper first
+        x, y, s = g.endpoint[tail[e] ^ 1], g.endpoint[tail[e]], 1
+        pairs = [(e, 1)]
         while x != y:
-            if depth[x] >= depth[y]:
-                f, x, s = climb(x)
-                coeff[f] = s
-            else:
-                f, y, s = climb(y)
-                coeff[f] = -s
-        cycles.append(tuple(coeff))
-    return CycleBasis(non_tree, tuple(cycles))
+            if depth[x] < depth[y]:
+                x, y, s = y, x, -s
+            f = parent_edge[x]
+            pairs.append((f, s if g.endpoint[tail[f]] == x else -s))
+            x = sum(g.edge_ends(f)) - x
+        cycles.append(tuple(sorted(pairs)))
+    return CycleBasis(tuple(cycles), tuple(row_of_edge))
 
 
 def _cycle_matrix_rows(basis: CycleBasis, sep: SignedEdgePermutation) -> list[list[int]]:
@@ -155,12 +143,12 @@ def _cycle_matrix_rows(basis: CycleBasis, sep: SignedEdgePermutation) -> list[li
     the image's non-tree-edge coefficients.
     """
     dim = len(basis.cycles)
-    if dim and len(basis.row_of_edge) != len(sep.edge_perm):
+    if len(basis.row_of_edge) != len(sep.edge_perm):
         raise ValueError("cycle basis does not match the graph")
     row_of_edge, edge_perm, edge_sign = basis.row_of_edge, sep.edge_perm, sep.edge_sign
     rows = [[0] * dim for _ in range(dim)]
-    for j, support in enumerate(basis.support):
-        for e, c in support:
+    for j, cycle in enumerate(basis.cycles):
+        for e, c in cycle:
             i = row_of_edge[edge_perm[e]]
             if i >= 0:
                 rows[i][j] = c * edge_sign[e]

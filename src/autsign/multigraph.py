@@ -39,14 +39,13 @@ class ComponentPartition:
 
 @dataclass(frozen=True)
 class SpanningForest:
-    """A spanning tree per component, plus the root each tree was grown from.
+    """A spanning tree per component, as parent pointers.
 
     ``parent_edge[v]`` is the tree edge joining v to its parent, -1 at a root,
-    and ``depth[v]`` counts the tree edges between v and its root.
+    and ``depth[v]`` counts the tree edges between v and its root. The tree
+    edges are the entries >= 0, and the roots the vertices at -1.
     """
 
-    tree_edges: frozenset[int]
-    root_of_component: tuple[int, ...]
     parent_edge: tuple[int, ...]
     depth: tuple[int, ...]
 
@@ -175,28 +174,23 @@ def random_orientation(g: Multigraph, rng: random.Random) -> Orientation:
 
 
 def spanning_forest(g: Multigraph, root: int | None = None) -> SpanningForest:
-    """Grow each component's tree by repeatedly adding the smallest-index
-    non-loop edge joining a reached vertex to an unreached one.
+    """Grow a tree from ``root``, then from each unreached vertex in ascending
+    order, by repeatedly adding the smallest-index non-loop edge joining a
+    reached vertex to an unreached one.
 
     The half-edges at reached vertices wait in a heap keyed by index, so
     ``h >> 1`` orders them by edge; a popped half-edge whose far end is
-    already reached (a loop among them) never joins the tree. Components are
-    rooted at their smallest vertex; if ``root`` is given, its component is
-    rooted there instead. Deterministic for a given graph.
+    already reached (a loop among them) never joins the tree. Each component
+    is rooted at its smallest vertex, except ``root``'s; the other trees do
+    not depend on ``root``.
     """
-    parts = g.components
-    roots = [-1] * parts.component_count
-    for v in range(g.vertex_count - 1, -1, -1):
-        roots[parts.component_of[v]] = v
-    if root is not None:
-        if not 0 <= root < g.vertex_count:
-            raise ValueError(f"root vertex {root} out of range")
-        roots[parts.component_of[root]] = root
-
-    parent_edge = [-1] * g.vertex_count
-    depth = [0] * g.vertex_count
-    reached = [False] * g.vertex_count
-    for r in roots:
+    n = g.vertex_count
+    if root is not None and not 0 <= root < n:
+        raise ValueError(f"root vertex {root} out of range")
+    parent_edge, depth, reached = [-1] * n, [0] * n, [False] * n
+    for r in range(n) if root is None else (root, *range(n)):
+        if reached[r]:
+            continue
         reached[r] = True
         heap = list(g._half_edges_at[r])  # ascending, so already a heap
         while heap:
@@ -209,8 +203,7 @@ def spanning_forest(g: Multigraph, root: int | None = None) -> SpanningForest:
             depth[w] = depth[v] + 1
             for k in g._half_edges_at[w]:
                 heapq.heappush(heap, k)
-    tree = frozenset(e for e in parent_edge if e >= 0)
-    return SpanningForest(tree, tuple(roots), tuple(parent_edge), tuple(depth))
+    return SpanningForest(tuple(parent_edge), tuple(depth))
 
 
 def _int_field(fields: list[str], index: int, lineno: int, what: str) -> int:

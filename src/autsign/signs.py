@@ -61,13 +61,15 @@ class SignComparison:
 
     homological: int
     combinatorial: int
-    agree: bool
-    cycle_rank: int
     automorphism: Automorphism
     signed_edge_perm: SignedEdgePermutation
     vertex_parity: int
     edge_parity: int
     factors: DeterminantFactors | None = None
+
+    @property
+    def agree(self) -> bool:
+        return self.homological == self.combinatorial
 
 
 def combinatorial_sign(g: Multigraph, o: Orientation, a: Automorphism) -> int:
@@ -111,7 +113,13 @@ def chain_determinant_check(
     component_sign is +1 and the identity reduces to
     cycle_space_det * vertex_space_det == edge_space_det.
     """
-    sep = induced_signed_edge_perm(g, o, a)
+    return _chain_determinants(g, basis, a, induced_signed_edge_perm(g, o, a))
+
+
+def _chain_determinants(
+    g: Multigraph, basis: CycleBasis, a: Automorphism, sep: SignedEdgePermutation
+) -> DeterminantFactors:
+    """chain_determinant_check on the signed edge permutation ``sep`` of ``a``."""
     m, n = g.edge_count, g.vertex_count
     edge_rows = [[0] * m for _ in range(m)]
     for e in range(m):
@@ -140,8 +148,8 @@ def comparisons(
     parity. The combinatorial route reads only the vertex parity and the
     arrow signs; the homological route takes the exact determinant of the
     explicit cycle-space matrix. Neither sees the other's result. With ``diagnostics``
-    each record also carries the factors of chain_determinant_check, which
-    derives them on its own.
+    each record also carries the factors of chain_determinant_check, taken
+    from explicit matrices on the same signed edge permutation.
     """
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
@@ -155,11 +163,8 @@ def comparisons(
         edge_parity = permutation_sign(sep.edge_perm)
         comb = prod(sep.edge_sign, start=vertex_parity)
         hom = edge_parity * cycle_space_det_sign(basis, sep) * component_parity
-        factors = chain_determinant_check(g, o, basis, a) if diagnostics else None
-        yield SignComparison(
-            hom, comb, hom == comb, len(basis.cycles), a, sep, vertex_parity, edge_parity,
-            factors,
-        )
+        factors = _chain_determinants(g, basis, a, sep) if diagnostics else None
+        yield SignComparison(hom, comb, a, sep, vertex_parity, edge_parity, factors)
 
 
 def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignComparison]:

@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
 from autsign import Multigraph, parse_graph
+
+# pyproject.toml puts src/ on this process's path; the interpreters that the
+# tests start (`python -m autsign ...`) import autsign from there too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 class Golden(NamedTuple):
     text: str

@@ -169,7 +169,8 @@ def count_calls(functions, run):
 def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_file, capsys):
     # The edge parity takes one permutation_sign call per automorphism and the
     # vertex parity one per vertex-bijection block. On connected graphs the
-    # component parity takes none.
+    # component parity takes none. With diagnostics, the chain determinants
+    # reuse the automorphism's signed permutation.
     for name in ("loop", "double_edge", "triangle", "path4", "loop_plus_edge"):
         g = parse_graph(GOLDENS[name].text)
         auts = enumerate_automorphisms(g)
@@ -179,9 +180,13 @@ def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_fi
         expected = {"induced_signed_edge_perm": order, "permutation_sign": order + blocks}
         path = graph_file(GOLDENS[name].text)
         counted = (induced_signed_edge_perm, permutation_sign)
-        assert count_calls(counted, lambda: main(["compute", path])) == expected, name
-        assert count_calls(counted, lambda: verify_graph(g)) == expected, name
-        assert capsys.readouterr().out.count(" agree=yes") == order
+        for flags in ([], ["--diagnostics"]):
+            calls = count_calls(counted, lambda: main(["compute", path, *flags]))
+            assert calls == expected, (name, flags)
+            assert capsys.readouterr().out.count(" agree=yes") == order
+        for diagnostics in (False, True):
+            calls = count_calls(counted, lambda: verify_graph(g, diagnostics))
+            assert calls == expected, (name, diagnostics)
 
 
 def test_compute_diagnostics_columns(graph_file, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 import sympy
@@ -27,7 +28,7 @@ from autsign import (
     spanning_forest,
 )
 from autsign.cli import main
-from autsign.homology import _bareiss
+from autsign.homology import _bareiss, _cycle_matrix_rows
 from conftest import GOLDENS, multigraphs
 from oracles import (
     boundary_matrix,
@@ -42,6 +43,22 @@ from oracles import (
 def basis_of(g):
     o = reference_orientation(g)
     return o, fundamental_cycles(g, o, spanning_forest(g))
+
+
+def non_tree_edges(basis):
+    """The edges that have a cycle in ``basis``, in ascending order."""
+    return tuple(e for e, i in enumerate(basis.row_of_edge) if i >= 0)
+
+
+def dense_cycles(basis):
+    """Each cycle of ``basis`` as a dense edge-coefficient vector."""
+    vectors = []
+    for cycle in basis.cycles:
+        z = [0] * len(basis.row_of_edge)
+        for e, c in cycle:
+            z[e] = c
+        vectors.append(tuple(z))
+    return tuple(vectors)
 
 
 def test_boundary_loop_is_zero():
@@ -70,18 +87,21 @@ def test_boundary_triangle_columns():
 def test_cycle_goldens():
     g = parse_graph(GOLDENS["loop"].text)
     _, basis = basis_of(g)
-    assert basis.non_tree_edges == (0,)
-    assert basis.cycles == ((1,),)
+    assert basis.row_of_edge == (0,)
+    assert basis.cycles == (((0, 1),),)
+    assert dense_cycles(basis) == ((1,),)
 
     g = parse_graph(GOLDENS["triangle"].text)
     _, basis = basis_of(g)
-    assert basis.non_tree_edges == (2,)
-    assert basis.cycles == ((1, 1, 1),)
+    assert basis.row_of_edge == (-1, -1, 0)
+    assert basis.cycles == (((0, 1), (1, 1), (2, 1)),)
+    assert dense_cycles(basis) == ((1, 1, 1),)
 
     g = parse_graph(GOLDENS["double_edge"].text)
     _, basis = basis_of(g)
-    assert basis.non_tree_edges == (1,)
-    assert basis.cycles == ((-1, 1),)
+    assert basis.row_of_edge == (-1, 0)
+    assert basis.cycles == (((0, -1), (1, 1)),)
+    assert dense_cycles(basis) == ((-1, 1),)
 
 
 @given(multigraphs())
@@ -89,7 +109,7 @@ def test_cycles_lie_in_boundary_kernel(g):
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
     boundary = boundary_matrix(g, o)
-    for z in basis.cycles:
+    for z in dense_cycles(basis):
         column = IntMatrix(g.edge_count, 1, z)
         image = matmul(boundary, column)
         assert all(x == 0 for x in image.entries)
@@ -104,7 +124,7 @@ def test_cycles_in_kernel_for_any_orientation(g, seed):
     o = random_orientation(g, random.Random(seed))
     basis = fundamental_cycles(g, o, spanning_forest(g))
     boundary = boundary_matrix(g, o)
-    for z in basis.cycles:
+    for z in dense_cycles(basis):
         image = matmul(boundary, IntMatrix(g.edge_count, 1, z))
         assert all(x == 0 for x in image.entries)
 
@@ -120,11 +140,19 @@ def test_cycle_count_is_first_betti_number(g):
 @given(multigraphs())
 def test_cycle_coefficient_structure(g):
     _, basis = basis_of(g)
-    non_tree = set(basis.non_tree_edges)
-    for i, z in enumerate(basis.cycles):
-        assert z[basis.non_tree_edges[i]] == 1
+    non_tree = non_tree_edges(basis)
+    # the tree edges are the forest's parent edges, and row i is the i-th non-tree edge's
+    tree = {e for e in spanning_forest(g).parent_edge if e >= 0}
+    assert set(range(g.edge_count)) - set(non_tree) == tree
+    assert [basis.row_of_edge[e] for e in non_tree] == list(range(len(basis.cycles)))
+    for cycle in basis.cycles:
+        edges = [e for e, _ in cycle]
+        assert edges == sorted(set(edges))
+        assert all(c in (-1, 1) for _, c in cycle)
+    for i, z in enumerate(dense_cycles(basis)):
+        assert z[non_tree[i]] == 1
         for e, c in enumerate(z):
-            if e in non_tree and e != basis.non_tree_edges[i]:
+            if e in non_tree and e != non_tree[i]:
                 assert c == 0
             assert c in (-1, 0, 1)
 
@@ -190,9 +218,31 @@ def test_the_basis_of_a_20000_vertex_path_is_built_within_10_s():
     start = time.perf_counter()
     basis = fundamental_cycles(g, o, spanning_forest(g))
     assert time.perf_counter() - start < 10
-    assert basis.non_tree_edges == (n - 1,)
+    assert basis.row_of_edge == (-1,) * (n - 1) + (0,)
     # the chord runs 0 -> n-1, and the path back runs against every arrow
-    assert basis.cycles[0] == (-1,) * (n - 1) + (1,)
+    assert basis.cycles == (tuple((e, -1) for e in range(n - 1)) + ((n - 1, 1),),)
+
+
+def test_the_basis_of_a_20000_vertex_path_with_64_chords_stays_small():
+    # Rank 64, the cap, on 20063 edges: a dense basis would hold 64 vectors of
+    # 20063 coefficients, about 10 MB of references; each short chord's cycle
+    # has three nonzeros.
+    n = 20_000
+    chords = [(2 * k, 2 * k + 2) for k in range(64)]
+    g = Multigraph.from_edges(n, [(v, v + 1) for v in range(n - 1)] + chords)
+    o = reference_orientation(g)
+    sep = induced_signed_edge_perm(g, o, identity_automorphism(g))
+    g.components  # the graph's own cached tables, built by any first use
+    tracemalloc.start()
+    try:
+        basis = fundamental_cycles(g, o, spanning_forest(g))
+        rows = _cycle_matrix_rows(basis, sep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert rows == identity_matrix(64).to_rows()
+    assert [len(cycle) for cycle in basis.cycles] == [3] * 64
 
 
 @pytest.mark.parametrize(
@@ -219,19 +269,16 @@ def test_fundamental_cycles_refuse_a_forest_of_another_graph(text, other):
     "forest",
     [
         # parent edges 0 and 1 lead 0 -> 1 -> 0, with depths that do not fall
-        SpanningForest(frozenset({0, 1}), (0,), (0, 0, 1), (0, 0, 0)),
-        # a parent edge past the graph's edges, or -1, which would index
-        # the last edge from the end
-        SpanningForest(frozenset({0, 1, 7}), (0,), (-1, 0, 7), (0, 1, 2)),
-        SpanningForest(frozenset({-1, 0, 1}), (0,), (-1, -1, 1), (0, 1, 2)),
-        # a parent edge that is not listed as a tree edge
-        SpanningForest(frozenset({0, 2}), (0,), (-1, 0, 1), (0, 1, 2)),
+        SpanningForest((0, 0, 1), (0, 0, 0)),
+        # a parent edge past the graph's edges, or a root's -1 at depth 1,
+        # which as an index would name the last edge from the end
+        SpanningForest((-1, 0, 7), (0, 1, 2)),
+        SpanningForest((-1, -1, 1), (0, 1, 2)),
     ],
-    ids=["cyclic", "past-the-edges", "minus-one", "not-a-tree-edge"],
+    ids=["cyclic", "past-the-edges", "minus-one"],
 )
 def test_fundamental_cycles_refuse_an_inconsistent_forest(forest):
-    # a triangle with edge 0-1 doubled, so every forest above leaves the
-    # two non-tree edges its cycle rank asks for
+    # a triangle with edge 0-1 doubled, cycle rank 2
     g = parse_graph("v 3\ne 0 1\ne 1 2\ne 2 0\ne 0 1\n")
     with pytest.raises(ValueError, match="forest does not connect"):
         fundamental_cycles(g, reference_orientation(g), forest)

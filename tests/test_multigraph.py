@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from autsign import (
     GraphFormatError,
     Multigraph,
+    SpanningForest,
     SweepParams,
     enumerate_multigraphs,
     parse_graph,
@@ -20,6 +21,17 @@ from autsign import (
 from autsign.multigraph import MAX_EDGES
 from conftest import GOLDENS, multigraphs
 from oracles import scan_spanning_forest
+
+
+def tree_edges(forest):
+    """The edges of ``forest``: its parent edges."""
+    return frozenset(e for e in forest.parent_edge if e >= 0)
+
+
+def roots(g, forest):
+    """The vertices without a parent edge, in the order of their components."""
+    tops = (v for v, e in enumerate(forest.parent_edge) if e < 0)
+    return tuple(sorted(tops, key=g.components.component_of.__getitem__))
 
 
 def test_parse_loop():
@@ -125,7 +137,7 @@ def test_empty_graph_is_accepted():
     assert g.vertex_count == 0
     assert g.edge_count == 0
     assert g.components.component_count == 0
-    assert spanning_forest(g).tree_edges == frozenset()
+    assert spanning_forest(g) == SpanningForest((), ())
 
 
 def test_reference_orientation_tails():
@@ -167,19 +179,20 @@ def test_degree_and_loop_count(golden):
 
 
 def test_spanning_forest_goldens(golden):
-    assert spanning_forest(golden["triangle"]).tree_edges == frozenset({0, 1})
-    assert spanning_forest(golden["loop"]).tree_edges == frozenset()
-    assert spanning_forest(golden["double_edge"]).tree_edges == frozenset({0})
-    forest = spanning_forest(golden["two_edges_disjoint"])
-    assert forest.tree_edges == frozenset({0, 1})
-    assert forest.root_of_component == (0, 2)
+    assert spanning_forest(golden["triangle"]) == SpanningForest((-1, 0, 1), (0, 1, 2))
+    assert spanning_forest(golden["loop"]) == SpanningForest((-1,), (0,))
+    assert spanning_forest(golden["double_edge"]) == SpanningForest((-1, 0), (0, 1))
+    g = golden["two_edges_disjoint"]
+    forest = spanning_forest(g)
+    assert tree_edges(forest) == frozenset({0, 1})
+    assert roots(g, forest) == (0, 2)
 
 
 def test_spanning_forest_alternate_root(golden):
     g = golden["triangle"]
     forest = spanning_forest(g, root=2)
-    assert forest.root_of_component == (2,)
-    assert len(forest.tree_edges) == 2
+    assert roots(g, forest) == (2,)
+    assert len(tree_edges(forest)) == 2
     with pytest.raises(ValueError):
         spanning_forest(g, root=9)
 
@@ -188,21 +201,23 @@ def test_spanning_forest_alternate_root(golden):
 def test_spanning_forest_invariants(g):
     forest = spanning_forest(g)
     parts = g.components
-    assert not any(a == b for a, b in map(g.edge_ends, forest.tree_edges))
-    assert len(forest.tree_edges) == g.vertex_count - parts.component_count
-    # within each component the tree edges connect every vertex to the root
-    reach = {r: r for r in forest.root_of_component}
+    tree, tops = tree_edges(forest), roots(g, forest)
+    assert not any(a == b for a, b in map(g.edge_ends, tree))
+    assert len(tree) == g.vertex_count - parts.component_count
+    # one root per component, and the tree edges connect every vertex to it
+    assert [parts.component_of[r] for r in tops] == list(range(parts.component_count))
+    reach = {r: r for r in tops}
     changed = True
     while changed:
         changed = False
-        for e in forest.tree_edges:
+        for e in tree:
             a, b = g.edge_ends(e)
             for x, y in ((a, b), (b, a)):
                 if x in reach and y not in reach:
                     reach[y] = reach[x]
                     changed = True
     for v in range(g.vertex_count):
-        assert reach[v] == forest.root_of_component[parts.component_of[v]]
+        assert reach[v] == tops[parts.component_of[v]]
 
 
 def check_forest_from_every_root(g):
@@ -210,12 +225,13 @@ def check_forest_from_every_root(g):
     parent edges and depths describe that forest."""
     for root in range(g.vertex_count):
         forest = spanning_forest(g, root=root)
-        tree, roots = scan_spanning_forest(g, root=root)
-        assert (forest.tree_edges, forest.root_of_component) == (tree, roots)
-        assert {e for e in forest.parent_edge if e >= 0} == tree
+        tree, tops = scan_spanning_forest(g, root=root)
+        assert (tree_edges(forest), roots(g, forest)) == (tree, tops)
+        # no two vertices share a parent edge
+        assert sum(e >= 0 for e in forest.parent_edge) == len(tree)
         for v, e in enumerate(forest.parent_edge):
             if e < 0:
-                assert v in roots and forest.depth[v] == 0
+                assert v in tops and forest.depth[v] == 0
             else:
                 a, b = g.edge_ends(e)
                 assert v in (a, b)

@@ -119,8 +119,28 @@ def test_verify_graph_loop_records(golden):
         (1, 1, True),
         (-1, -1, True),
     ]
-    assert all(r.cycle_rank == 1 for r in records)
+    assert golden["loop"].cycle_rank == 1
     assert all(r.factors is not None and r.factors.consistent for r in records)
+
+
+def test_an_orientation_or_automorphism_of_another_graph_is_refused(golden):
+    # The triangle and the 3-vertex path have 3 vertices each, but 3 and 2 edges.
+    triangle, path = golden["triangle"], golden["path3"]
+    for g, other in ((triangle, path), (path, triangle)):
+        o = reference_orientation(g)
+        basis = fundamental_cycles(g, o, spanning_forest(g))
+        o_other = reference_orientation(other)
+        with pytest.raises(ValueError, match="orientation does not belong"):
+            fundamental_cycles(g, o_other, spanning_forest(g))
+        for a, o_wrong in [(a, o_other) for a in enumerate_automorphisms(g)] + [
+            (a, o) for a in enumerate_automorphisms(other)
+        ]:
+            with pytest.raises(ValueError, match="does not belong to the graph"):
+                combinatorial_sign(g, o_wrong, a)
+            with pytest.raises(ValueError, match="does not belong to the graph"):
+                homological_sign(g, o_wrong, basis, a)
+            with pytest.raises(ValueError, match="does not belong to the graph"):
+                induced_cycle_matrix(g, o_wrong, basis, a)
 
 
 def test_verify_graph_diagnostics_optional(golden):
@@ -151,7 +171,7 @@ def test_verify_graph_records_match_the_unfused_routes(g):
             * det_sign(matrix, require_unimodular=True)
             * component_permutation_sign(g, a)
         )
-        assert r.cycle_rank == matrix.rows == g.cycle_rank
+        assert len(basis.cycles) == matrix.rows == g.cycle_rank
 
 
 @pytest.mark.parametrize(
