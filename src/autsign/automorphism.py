@@ -8,16 +8,18 @@ per-edge orientation signs are derived on demand.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .multigraph import Multigraph, Orientation
 
 # The largest group stream_automorphisms hands out. What is held is the vertex
-# bijections and the one lift being built, so the cap bounds time. Reaching it
-# on 12 isolated vertices (12! automorphisms) takes about 5 s and 90 MB on a
-# 2-vCPU VM, well under a 1 GiB address-space limit. Every pinned group is far
-# below it (the largest, one vertex with 6 loops, has 46080 elements).
+# bijections, n bytes each up to 256 vertices, and the one lift being built,
+# so the cap bounds time. Reaching it on 12 isolated vertices (12!
+# automorphisms) takes about 3 s and 22 MB on a 2-vCPU VM, well under a 1 GiB
+# address-space limit. Every pinned group is far below it (the largest, one
+# vertex with 6 loops, has 46080 elements).
 MAX_AUTOMORPHISMS = 500_000
 
 
@@ -146,37 +148,58 @@ def _lifts(
 def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
     """Multiplicity-preserving vertex bijections, in lexicographic order.
 
-    Backtracks over vertex images, pruning on the (degree, loop count)
-    invariant and on pairwise edge multiplicities.
+    Backtracks over the images of vertices 0, 1, ... in turn. Vertex v may
+    go to a free vertex w of its (degree, loop count) colour that has v's
+    edge multiplicity to the image of each earlier neighbour of v, and no
+    other placed neighbour: ``placed[w]`` counts w's placed neighbours and
+    is kept up to date on each place and unplace. Such a w is a neighbour
+    of the image of v's first earlier neighbour, so v tries those in
+    ascending order, and its whole colour cell only when it has no earlier
+    neighbour.
     """
     n = g.vertex_count
-    invariant = [(g.degree(v), g.loop_count(v)) for v in range(n)]
-    # neighbours[v][u]: multiplicity of the edge {v, u}, loops left out
+    colours: dict[tuple[int, int], int] = {}
+    colour = [colours.setdefault((g.degree(v), g.loop_count(v)), len(colours)) for v in range(n)]
+    cells: list[list[int]] = [[] for _ in colours]
+    for v in range(n):
+        cells[colour[v]].append(v)
+    # neighbours[v][u]: multiplicity of the edge {v, u}, loops left out; the
+    # pairs come in ascending order, so each u is entered in ascending order
     neighbours: list[dict[int, int]] = [{} for _ in range(n)]
-    for (a, b), m in g.edge_multiplicities.items():
+    for (a, b), m in sorted(g.edge_multiplicities.items()):
         if a != b:
             neighbours[a][b] = neighbours[b][a] = m
+    # back[v]: v's earlier neighbours and their multiplicities
+    back = [[(u, m) for u, m in nbrs.items() if u < v] for v, nbrs in enumerate(neighbours)]
     image = [-1] * n
-    preimage = [-1] * n
+    taken = [False] * n
+    placed = [0] * n
+    tries: list[Iterator[int]] = [iter(())] * n
     v = 0
     while v >= 0:
         if v == n:
             yield tuple(image)
             v -= 1
             continue
+        colour_v, back_v = colour[v], back[v]
         w = image[v]
         if w >= 0:
-            preimage[w] = -1
             image[v] = -1
-        inv_v, nbrs_v = invariant[v], neighbours[v]
-        for w in range(w + 1, n):
-            if preimage[w] >= 0 or invariant[w] != inv_v:
+            taken[w] = False
+            for x in neighbours[w]:
+                placed[x] -= 1
+        else:
+            tries[v] = iter(neighbours[image[back_v[0][0]]] if back_v else cells[colour_v])
+        for w in tries[v]:
+            if taken[w] or colour[w] != colour_v or placed[w] != len(back_v):
                 continue
             nbrs_w = neighbours[w]
-            if any(nbrs_v.get(u, 0) != nbrs_w.get(image[u], 0) for u in range(v)):
+            if any(nbrs_w.get(image[u], 0) != m for u, m in back_v):
                 continue
             image[v] = w
-            preimage[w] = v
+            taken[w] = True
+            for x in nbrs_w:
+                placed[x] += 1
             v += 1
             break
         else:
@@ -207,15 +230,20 @@ def automorphism_shares(
     if block > MAX_AUTOMORPHISMS:
         raise _too_large()
     most = MAX_AUTOMORPHISMS // block
-    bijections: list[tuple[int, ...]] = []
+    # bijection b is table[b * n:(b + 1) * n], one byte per image up to 256
+    # vertices
+    n = g.vertex_count
+    table = array("B" if n <= 256 else "I")
+    bijections = 0
     for vperm in _vertex_bijections(g):
-        if len(bijections) == most:
+        if bijections == most:
             raise _too_large()
-        bijections.append(vperm)
+        table.extend(vperm)
+        bijections += 1
     ends: dict[tuple[int, int], list[int]] = {}
     for h, v in enumerate(g.endpoint):
         ends.setdefault((v, g.endpoint[h ^ 1]), []).append(h)
-    order = len(bijections) * block
+    order = bijections * block
 
     def share(owns: Callable[[int], bool]) -> Iterator[Automorphism]:
         # lifts: the rest of the block of the last owned index, each lift
@@ -225,7 +253,8 @@ def automorphism_shares(
             if i >= end:
                 b = i // block
                 end = (b + 1) * block
-                lifts = enumerate(_lifts(g, ends, bijections[b]), b * block)
+                vperm = tuple(table[b * n:(b + 1) * n])
+                lifts = enumerate(_lifts(g, ends, vperm), b * block)
             for j, a in lifts:
                 if j == i:
                     yield a

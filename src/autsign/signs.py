@@ -113,13 +113,19 @@ def chain_determinant_check(
     component_sign is +1 and the identity reduces to
     cycle_space_det * vertex_space_det == edge_space_det.
     """
-    return _chain_determinants(g, basis, a, induced_signed_edge_perm(g, o, a))
+    sep = induced_signed_edge_perm(g, o, a)
+    return _chain_determinants(g, basis, a, sep, component_permutation_sign(g, a))
 
 
 def _chain_determinants(
-    g: Multigraph, basis: CycleBasis, a: Automorphism, sep: SignedEdgePermutation
+    g: Multigraph,
+    basis: CycleBasis,
+    a: Automorphism,
+    sep: SignedEdgePermutation,
+    component_sign: int,
 ) -> DeterminantFactors:
-    """chain_determinant_check on the signed edge permutation ``sep`` of ``a``."""
+    """chain_determinant_check on the signed edge permutation ``sep`` of ``a``
+    and the parity ``component_sign`` of its permutation of components."""
     m, n = g.edge_count, g.vertex_count
     edge_rows = [[0] * m for _ in range(m)]
     for e in range(m):
@@ -131,7 +137,7 @@ def _chain_determinants(
         edge_space_det=_bareiss(edge_rows),
         vertex_space_det=_bareiss(vertex_rows),
         cycle_space_det=_bareiss(_cycle_matrix_rows(basis, sep)),
-        component_sign=component_permutation_sign(g, a),
+        component_sign=component_sign,
     )
 
 
@@ -149,7 +155,8 @@ def comparisons(
     arrow signs; the homological route takes the exact determinant of the
     explicit cycle-space matrix. Neither sees the other's result. With ``diagnostics``
     each record also carries the factors of chain_determinant_check, taken
-    from explicit matrices on the same signed edge permutation.
+    from explicit matrices on the same signed edge permutation and the
+    block's component parity.
     """
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
@@ -163,7 +170,9 @@ def comparisons(
         edge_parity = permutation_sign(sep.edge_perm)
         comb = prod(sep.edge_sign, start=vertex_parity)
         hom = edge_parity * cycle_space_det_sign(basis, sep) * component_parity
-        factors = _chain_determinants(g, basis, a, sep) if diagnostics else None
+        factors = (
+            _chain_determinants(g, basis, a, sep, component_parity) if diagnostics else None
+        )
         yield SignComparison(hom, comb, a, sep, vertex_parity, edge_parity, factors)
 
 

@@ -3,13 +3,15 @@
 Nothing here shares code with the library's production paths: automorphisms
 come from filtering all half-edge permutations, determinants from the
 permutation-sum formula, parities from inversion counting, spanning forests
-from rescanning every edge per tree edge. The group
+from rescanning every edge per tree edge, vertex bijections from comparing
+each candidate image with every placed vertex. The group
 operations, the boundary matrix and the matrix product serve only the tests'
 algebraic laws, so they live here too.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from autsign import Automorphism, IntMatrix, Multigraph, Orientation
 
@@ -172,3 +174,43 @@ def scan_spanning_forest(
             a, b = g.edge_ends(pick)
             reached[b if reached[a] else a] = True
     return frozenset(tree), tuple(roots)
+
+
+def scan_vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
+    """Multiplicity-preserving vertex bijections, in lexicographic order:
+    backtracking over the images of vertices 0, 1, ..., where v may go to
+    any free vertex w of its (degree, loop count) invariant whose edge
+    multiplicity to the image of each earlier vertex u equals that of
+    {v, u}. O(V) per candidate."""
+    n = g.vertex_count
+    invariant = [(g.degree(v), g.loop_count(v)) for v in range(n)]
+    # neighbours[v][u]: multiplicity of the edge {v, u}, loops left out
+    neighbours: list[dict[int, int]] = [{} for _ in range(n)]
+    for (a, b), m in g.edge_multiplicities.items():
+        if a != b:
+            neighbours[a][b] = neighbours[b][a] = m
+    image = [-1] * n
+    preimage = [-1] * n
+    v = 0
+    while v >= 0:
+        if v == n:
+            yield tuple(image)
+            v -= 1
+            continue
+        w = image[v]
+        if w >= 0:
+            preimage[w] = -1
+            image[v] = -1
+        inv_v, nbrs_v = invariant[v], neighbours[v]
+        for w in range(w + 1, n):
+            if preimage[w] >= 0 or invariant[w] != inv_v:
+                continue
+            nbrs_w = neighbours[w]
+            if any(nbrs_v.get(u, 0) != nbrs_w.get(image[u], 0) for u in range(v)):
+                continue
+            image[v] = w
+            preimage[w] = v
+            v += 1
+            break
+        else:
+            v -= 1

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import sys
 import tracemalloc
 import weakref
@@ -24,7 +25,7 @@ from autsign import (
     reference_orientation,
     stream_automorphisms,
 )
-from autsign.automorphism import automorphism_shares
+from autsign.automorphism import _vertex_bijections, automorphism_shares
 from autsign.cli import main
 from autsign.signs import comparisons
 from conftest import GOLDENS, multigraphs
@@ -36,6 +37,7 @@ from oracles import (
     identity_automorphism,
     inversion_count_sign,
     invert,
+    scan_vertex_bijections,
 )
 
 
@@ -231,6 +233,56 @@ def test_the_stream_holds_no_block():
     assert first.half_edge_perm == tuple(range(12))
     assert second.half_edge_perm == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10)
     assert peak < 100_000
+
+
+def test_the_search_finds_the_scan_oracles_bijections_on_the_full_caps():
+    params = SweepParams(max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True)
+    graphs = 0
+    for g in enumerate_multigraphs(params):
+        assert list(_vertex_bijections(g)) == list(scan_vertex_bijections(g)), g
+        graphs += 1
+    assert graphs == 60386
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_vertices=7, max_edges=10))
+def test_the_search_finds_the_scan_oracles_bijections(g):
+    assert list(_vertex_bijections(g)) == list(scan_vertex_bijections(g))
+
+
+# The graphs of perfbench's compute-large-group workload: the star K_{1,8},
+# one vertex with 6 loops, 7 parallel edges between 2 vertices.
+LARGE_GROUPS = [(9, [(0, i) for i in range(1, 9)]), (1, [(0, 0)] * 6), (2, [(0, 1)] * 7)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_search_finds_the_scan_oracles_bijections_on_relabeled_large_groups(seed):
+    # the benchmark's relabeling: vertices permuted, edges shuffled and each
+    # edge's ends listed in random order
+    rng = random.Random(seed)
+    for n, edges in LARGE_GROUPS:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [
+            (perm[a], perm[b]) if rng.getrandbits(1) else (perm[b], perm[a]) for a, b in edges
+        ]
+        rng.shuffle(edges)
+        g = Multigraph.from_edges(n, edges)
+        assert list(_vertex_bijections(g)) == list(scan_vertex_bijections(g)), g
+
+
+def test_the_star_bijections_are_held_one_byte_per_image():
+    # K_{1,8}: 40320 bijections of 9 vertices, 363 KB as bytes; as one tuple
+    # each they took 4.87 MB
+    star = parse_graph("v 9\n" + "".join(f"e 0 {i}\n" for i in range(1, 9)))
+    tracemalloc.start()
+    try:
+        order, _ = automorphism_shares(star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert order == 40320
+    assert peak < 1_000_000
 
 
 def test_a_graph_longer_than_the_recursion_limit():

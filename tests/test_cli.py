@@ -168,19 +168,23 @@ def count_calls(functions, run):
 
 def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_file, capsys):
     # The edge parity takes one permutation_sign call per automorphism and the
-    # vertex parity one per vertex-bijection block. On connected graphs the
-    # component parity takes none. With diagnostics, the chain determinants
-    # reuse the automorphism's signed permutation.
-    for name in ("loop", "double_edge", "triangle", "path4", "loop_plus_edge"):
+    # vertex parity one per vertex-bijection block. The component parity takes
+    # one more per block on a disconnected graph, none on a connected one.
+    # With diagnostics, the chain determinants reuse the automorphism's signed
+    # permutation and the block's component parity.
+    names = ("loop", "double_edge", "triangle", "path4", "loop_plus_edge", "two_edges_disjoint")
+    for name in names:
         g = parse_graph(GOLDENS[name].text)
         auts = enumerate_automorphisms(g)
         order, blocks = len(auts), len({a.vertex_perm for a in auts})
         # one chunk, so compute runs in this process, where the profile sees it
         assert order <= CHUNK_GRAPHS, name
-        expected = {"induced_signed_edge_perm": order, "permutation_sign": order + blocks}
+        parities = order + blocks * (1 if g.is_connected else 2)
+        expected = {"induced_signed_edge_perm": order, "permutation_sign": parities}
         path = graph_file(GOLDENS[name].text)
         counted = (induced_signed_edge_perm, permutation_sign)
-        for flags in ([], ["--diagnostics"]):
+        plain = [] if g.is_connected else ["--extended"]
+        for flags in (plain, [*plain, "--diagnostics"]):
             calls = count_calls(counted, lambda: main(["compute", path, *flags]))
             assert calls == expected, (name, flags)
             assert capsys.readouterr().out.count(" agree=yes") == order
@@ -241,6 +245,24 @@ def test_compute_stops_at_the_group_cap_under_a_memory_limit(graph_file):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: the automorphism group has more than")
     assert "Traceback" not in proc.stderr
+
+
+def test_compute_lists_the_group_of_a_12000_vertex_path_in_seconds(graph_file):
+    # In path order each vertex after the first draws its images from its
+    # placed neighbour's image, so the search is linear; comparing each
+    # candidate with every placed vertex ran for minutes.
+    n = 12000
+    text = f"v {n}\n" + "".join(f"e {i} {i + 1}\n" for i in range(n - 1))
+    proc = subprocess.run(
+        [sys.executable, "-m", "autsign", "compute", graph_file(text)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[2] == "automorphisms: 2"
+    assert len(lines) == 3 + 2
 
 
 @pytest.mark.parametrize(
