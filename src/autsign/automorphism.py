@@ -69,19 +69,18 @@ def cycle_notation(p: tuple[int, ...]) -> str:
     """Cycle string of a permutation, fixed points omitted; '()' for the identity."""
     seen = [False] * len(p)
     parts: list[str] = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
+    # a cycle is first reached at its least element, so only its later
+    # elements need marking
+    for i, j in enumerate(p):
+        if seen[i] or j == i:
             continue
         cyc = [i]
-        seen[i] = True
-        j = p[i]
         while j != i:
             cyc.append(j)
             seen[j] = True
             j = p[j]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
+        parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) or "()"
 
 
 def induced_signed_edge_perm(
@@ -102,12 +101,16 @@ def induced_signed_edge_perm(
 
 
 def _lifts(
-    g: Multigraph, ends: dict[tuple[int, int], list[int]], vperm: tuple[int, ...]
+    g: Multigraph,
+    ends: dict[tuple[int, int], list[int]],
+    vperm: tuple[int, ...],
+    digits: list[int],
 ) -> Iterator[Automorphism]:
     """The automorphisms over a multiplicity-preserving vertex bijection, in
-    lexicographic order of half_edge_perm. ``ends[(a, b)]`` lists, ascending,
-    the half-edges at a whose edge ends at b: both halves of each loop at a
-    when b == a.
+    lexicographic order of half_edge_perm, from the one that sends each edge
+    e to its ``digits[e]``-th free target (counted from 0) on.
+    ``ends[(a, b)]`` lists, ascending, the half-edges at a whose edge ends
+    at b: both halves of each loop at a when b == a.
 
     Edge e's first half may go to any half-edge h in
     ends[(vperm[a], vperm[b])], where a and b are e's ends, and h fixes the
@@ -124,8 +127,24 @@ def _lifts(
     targets = [ends[(vperm[endpoint[h]], vperm[endpoint[h + 1]])] for h in range(0, 2 * m, 2)]
     hep = [0] * (2 * m)
     taken = [False] * m
-    # stack[e] walks targets[e]; the edges below the top are placed and taken
-    stack = [iter(targets[0])]
+    # stack[e] walks the rest of targets[e]; the edges below the top are
+    # placed and taken
+    stack: list[Iterator[int]] = []
+    for e, skip in enumerate(digits):
+        # pass over ``skip`` free targets, and take the next one
+        free = iter(targets[e])
+        for h in free:
+            if not taken[h >> 1]:
+                if not skip:
+                    break
+                skip -= 1
+        stack.append(free)
+        hep[2 * e] = h
+        hep[2 * e + 1] = h ^ 1
+        taken[h >> 1] = True
+    # the top edge is placed but not taken
+    taken[hep[-1] >> 1] = False
+    yield Automorphism(tuple(hep), vperm)
     while stack:
         e = len(stack) - 1
         for h in stack[e]:
@@ -212,14 +231,14 @@ def automorphism_shares(
     """The group's order and its share function.
 
     ``share(owns)`` yields, in the order of stream_automorphisms, the
-    elements at the stream indices i with ``owns(i)``. A bijection's block of
-    lifts is built only when one of its indices is owned.
+    elements at the stream indices i with ``owns(i)``, and builds no other.
 
     Each multiplicity-preserving vertex bijection has a block of lifts, all
     blocks of one size. The bijections are collected here, in lexicographic
     order, so GroupTooLargeError is raised before any automorphism is built;
-    a share then builds each bijection's lifts one at a time, already in
-    order. The automorphisms of a block share one vertex_perm tuple.
+    a share then starts each run of owned indices at its rank in the block
+    and builds the lifts from there one at a time, already in order. The
+    automorphisms of a block share one vertex_perm tuple.
     """
     # A class of k parallel edges is matched in k! ways and each loop may
     # also flip, so every vertex bijection has this many lifts. The identity
@@ -245,20 +264,38 @@ def automorphism_shares(
         ends.setdefault((v, g.endpoint[h ^ 1]), []).append(h)
     order = bijections * block
 
+    m, endpoint = g.edge_count, g.endpoint
+
+    def digits(rank: int) -> list[int]:
+        """The lift of a rank in a block, as the position of each edge's
+        image among its free targets. Whatever the edges before it chose,
+        edge e has the same number of free targets: the edges of its
+        parallel class from e on, times 2 for a loop. So the rank is a
+        mixed-radix number with these digits, edge 0 the most significant."""
+        out = [0] * m
+        later: dict[tuple[int, int], int] = {}
+        e = m
+        while rank:
+            e -= 1
+            a, b = endpoint[2 * e], endpoint[2 * e + 1]
+            pair = (a, b) if a <= b else (b, a)
+            later[pair] = later.get(pair, 0) + 1
+            rank, out[e] = divmod(rank, later[pair] * (2 if a == b else 1))
+        return out
+
     def share(owns: Callable[[int], bool]) -> Iterator[Automorphism]:
-        # lifts: the rest of the block of the last owned index, each lift
-        # with its stream index; the block ends before index end
-        lifts, end = iter(()), 0
+        # lifts walks block b from the start of the current run of owned
+        # indices; it yields index i next when i == after and i does not
+        # start a block
+        b = after = -1
         for i in filter(owns, range(order)):
-            if i >= end:
-                b = i // block
-                end = (b + 1) * block
-                vperm = tuple(table[b * n:(b + 1) * n])
-                lifts = enumerate(_lifts(g, ends, vperm), b * block)
-            for j, a in lifts:
-                if j == i:
-                    yield a
-                    break
+            if i != after or i % block == 0:
+                if i // block != b:
+                    b = i // block
+                    vperm = tuple(table[b * n:(b + 1) * n])
+                lifts = _lifts(g, ends, vperm, digits(i % block))
+            yield next(lifts)
+            after = i + 1
 
     return order, share
 

@@ -54,15 +54,21 @@ def _fmt_sign(s: int) -> str:
     return f"{s:+d}"
 
 
+# The text of a sign, and of an arrow kept (+1) or reversed (-1), for the
+# compute lines: table lookups, cheaper per line than formatting.
+_SIGN_TEXT = {1: "+1", -1: "-1"}
+_ARROW_TEXT = {1: "+", -1: "-"}
+
+
 def _compute_line(i: int, vperm_cycles: str, r: SignComparison) -> str:
     """The line of `compute` for automorphism i, with its newline."""
-    eps = "".join("+" if s > 0 else "-" for s in r.signed_edge_perm.edge_sign)
+    eps = "".join(map(_ARROW_TEXT.__getitem__, r.signed_edge_perm.edge_sign))
     line = (
         f"[{i}] vperm={vperm_cycles}"
-        f" v_sign={_fmt_sign(r.vertex_parity)}"
-        f" e_sign={_fmt_sign(r.edge_parity)}"
+        f" v_sign={_SIGN_TEXT[r.vertex_parity]}"
+        f" e_sign={_SIGN_TEXT[r.edge_parity]}"
         f" eps={eps or '(none)'}"
-        f" hom={_fmt_sign(r.homological)} comb={_fmt_sign(r.combinatorial)}"
+        f" hom={_SIGN_TEXT[r.homological]} comb={_SIGN_TEXT[r.combinatorial]}"
         f" agree={'yes' if r.agree else 'NO'}"
     )
     if r.factors is not None:

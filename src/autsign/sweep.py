@@ -109,8 +109,9 @@ def _spans_all(vertex_count: int, slot_masks: list[int], vector: tuple[int, ...]
 
 # Items per chunk of the ordered map, graphs in a sweep and automorphisms in
 # compute: small enough that the workers' shares of the connected sweep (197
-# chunks) stay even, large enough that a worker's turn at the pipe is a small
-# part of its work.
+# chunks) stay even, large enough that pickling and unpickling a chunk is a
+# small part of its work. A widened pipe holds hundreds of compute chunks
+# (PIPE_BYTES), so a worker seldom waits for its turn.
 CHUNK_GRAPHS = 64
 
 Slots = list[tuple[int, int]]
@@ -196,6 +197,26 @@ def _chunks(items: Iterable[T]) -> Iterator[list[T]]:
         yield chunk
 
 
+# The bytes each worker's pipe is set to hold: Linux's pipe-max-size for
+# unprivileged processes, about 200 chunks of compute's lines (a chunk of 64
+# pickles to about 5 KB), where the default 64 KiB holds about 12. The parent
+# reads the pipes in turn, so a worker whose pipe is full waits for it.
+PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(fd: int) -> None:
+    """Let the pipe of ``fd`` hold PIPE_BYTES where the system allows it; it
+    keeps its default size where ``F_SETPIPE_SZ`` does not exist or the call
+    is refused (as past Linux's pipe-user-pages-soft)."""
+    import fcntl
+
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        try:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:
+            pass
+
+
 def _work(out: BinaryIO, read_ends: list[BinaryIO], results: Iterator[object]) -> NoReturn:
     """Body of a forked worker: close the inherited read ends, pickle each of
     ``results`` into ``out``, or the exception that stopped them, then leave
@@ -232,8 +253,9 @@ def ordered_map(
     dealt to worker i modulo the worker count. ``share_items(owns)`` yields,
     in stream order, the items at the indices i with ``owns(i)``. One forked
     worker per CPU, but no more than there are chunks when the stream's
-    length ``count`` is known, runs its share and pipes one list per chunk;
-    the parent reads one list from each pipe in turn. With one worker, or
+    length ``count`` is known, runs its share and pipes one list per chunk
+    through a pipe widened to PIPE_BYTES where the system allows it; the
+    parent reads one list from each pipe in turn. With one worker, or
     without ``os.fork``, the whole stream is cut into chunks in this process.
     An exception in a share reaches the consumer with its type and message,
     after the chunks before the one it stopped. Every worker is reaped, also
@@ -252,6 +274,7 @@ def ordered_map(
     try:
         for share in range(workers):
             read_fd, write_fd = os.pipe()
+            _widen_pipe(write_fd)
             readers.append(os.fdopen(read_fd, "rb"))
             with os.fdopen(write_fd, "wb") as writer:
                 pid = os.fork()

@@ -5,6 +5,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
+import autsign.sweep
 from autsign import Multigraph, parse_graph
 
 # pyproject.toml puts src/ on this process's path; the interpreters that the
@@ -30,6 +31,17 @@ GOLDENS = {
     "loop_plus_edge": Golden("v 2\ne 0 0\ne 0 1\n", (1, -1)),
     "two_edges_disjoint": Golden("v 4\ne 0 1\ne 2 3\n", (1, 1, 1, 1, 1, 1, 1, 1)),
 }
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """``use_workers(k)``: the ordered map runs on k workers for the rest of
+    the test, in this process when k is 1."""
+
+    def use(workers):
+        monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
+
+    return use
 
 
 @pytest.fixture

@@ -145,17 +145,12 @@ def test_a_group_above_the_cap_fails_before_its_first_element(
     assert got == order == sum(1 for _ in auts) == len(built)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "v 1\n" + "e 0 0\n" * 4,  # one block of 384
-        "v 6\n" + "".join(f"e 0 {i}\n" for i in range(1, 6)),  # 120 blocks of 1
-        "v 4\n" + "e 0 1\n" * 3 + "e 2 3\n" * 3,  # 8 blocks of 36
-    ],
-)
-@pytest.mark.parametrize("chunk", [1, 5, 64])
-def test_the_shares_deal_the_stream_out_in_chunks(text, chunk):
-    g = parse_graph(text)
+LOOP4 = "v 1\n" + "e 0 0\n" * 4  # one block of 384
+STAR_K15 = "v 6\n" + "".join(f"e 0 {i}\n" for i in range(1, 6))  # 120 blocks of 1
+TWO_TRIPLE_EDGES = "v 4\n" + "e 0 1\n" * 3 + "e 2 3\n" * 3  # 8 blocks of 36
+
+
+def assert_the_shares_deal_the_stream_out_in_chunks(g, chunk):
     order, stream = stream_automorphisms(g)
     stream = list(stream)
     got, share = automorphism_shares(g)
@@ -169,17 +164,42 @@ def test_the_shares_deal_the_stream_out_in_chunks(text, chunk):
             assert list(share(owns)) == expected, (shares, k)
 
 
-def test_a_share_builds_no_block_outside_its_chunks(monkeypatch):
-    # the star K_{1,5}: 120 blocks of one; the second of two shares of
-    # 64-element chunks holds elements 64..119
-    g = parse_graph("v 6\n" + "".join(f"e 0 {i}\n" for i in range(1, 6)))
-    order, share = automorphism_shares(g)
+@pytest.mark.parametrize("text", [LOOP4, STAR_K15, TWO_TRIPLE_EDGES])
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_the_shares_deal_the_stream_out_in_chunks(text, chunk):
+    assert_the_shares_deal_the_stream_out_in_chunks(parse_graph(text), chunk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_vertices=4, max_edges=6))
+def test_the_shares_deal_the_stream_out_in_chunks_on_random_multigraphs(g):
+    # with chunks of 1 every owned index of two or three shares starts a run
+    for chunk in (1, 5, 64):
+        assert_the_shares_deal_the_stream_out_in_chunks(g, chunk)
+
+
+@pytest.mark.parametrize(
+    "text, order, owned",
+    [
+        # the second share starts at ranks 64, 192 and 320 of the block
+        (LOOP4, 384, 192),
+        # elements 64..119
+        (STAR_K15, 120, 56),
+        # elements 64..127 and 192..255, across blocks 1-3 and 5-7
+        (TWO_TRIPLE_EDGES, 288, 128),
+    ],
+    ids=["loop4", "star-k15", "two-triple-edges"],
+)
+def test_a_share_builds_no_lift_outside_its_chunks(monkeypatch, text, order, owned):
+    got, share = automorphism_shares(parse_graph(text))
+    assert got == order
     real = autsign.automorphism.Automorphism
     built = []
     monkeypatch.setattr(
         autsign.automorphism, "Automorphism", lambda *args: built.append(args) or real(*args)
     )
-    assert len(list(share(lambda i: i // 64 % 2 == 1))) == len(built) == order - 64 == 56
+    # the second of two shares of 64-element chunks
+    assert len(list(share(lambda i: i // 64 % 2 == 1))) == len(built) == owned
 
 
 def _kernel_order(g):

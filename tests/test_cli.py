@@ -1,3 +1,4 @@
+import errno
 import itertools
 import json
 import os
@@ -8,7 +9,6 @@ import pytest
 
 import autsign.automorphism
 import autsign.cli
-import autsign.sweep
 from autsign import (
     enumerate_automorphisms,
     induced_signed_edge_perm,
@@ -17,7 +17,7 @@ from autsign import (
     verify_graph,
 )
 from autsign.cli import main
-from autsign.sweep import CHUNK_GRAPHS
+from autsign.sweep import CHUNK_GRAPHS, PIPE_BYTES
 from conftest import GOLDENS
 
 
@@ -108,13 +108,13 @@ TWO_TRIPLE_EDGES = "v 4\n" + "e 0 1\n" * 3 + "e 2 3\n" * 3
     ids=["loop4", "star-k15", "loop4-diagnostics", "star-k15-diagnostics", "extended"],
 )
 def test_compute_output_does_not_depend_on_the_worker_count(
-    monkeypatch, graph_file, capsys, text, flags, order
+    use_workers, graph_file, capsys, text, flags, order
 ):
     assert order > CHUNK_GRAPHS
     path = graph_file(text)
     outputs = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
+        use_workers(workers)
         assert main(["compute", path, *flags]) == 0
         outputs.append(capsys.readouterr().out)
     lines = outputs[0].splitlines()
@@ -125,7 +125,49 @@ def test_compute_output_does_not_depend_on_the_worker_count(
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
-def test_a_group_of_one_chunk_is_computed_without_a_fork(monkeypatch, graph_file, capsys):
+@pytest.mark.parametrize("fallback", ["no-F_SETPIPE_SZ", "refused"])
+def test_workers_keep_a_pipe_that_cannot_be_widened(
+    monkeypatch, use_workers, graph_file, capsys, fallback
+):
+    fcntl = pytest.importorskip("fcntl")
+    refused = []
+    if fallback == "no-F_SETPIPE_SZ":
+        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+    else:
+        # as past Linux's pipe-user-pages-soft
+        def refuse(*args):
+            refused.append(args[1:])
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(fcntl, "fcntl", refuse)
+    caps = ["--max-vertices", "4", "--max-edges", "4", "--loops"]
+    runs = [
+        ["compute", graph_file(LOOP4, "loop4.txt")],
+        ["compute", graph_file(STAR_K15, "star.txt")],
+        ["compute", "--diagnostics", graph_file(LOOP4, "loop4.txt")],
+        ["compute", "--diagnostics", graph_file(STAR_K15, "star.txt")],
+        ["verify", *caps],
+        ["census", *caps],
+    ]
+    for argv in runs:
+        outputs = []
+        for workers in (1, 2, 3):
+            use_workers(workers)
+            assert main(argv) == 0, argv
+            outputs.append(capsys.readouterr().out)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert outputs[0] == outputs[1] == outputs[2], argv
+    if fallback == "refused":
+        # one request per forked worker: 2 + 3 per run, but 2 + 2 on the
+        # star's two chunks
+        assert refused == [(fcntl.F_SETPIPE_SZ, PIPE_BYTES)] * (4 * (2 + 3) + 2 * (2 + 2))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
+def test_a_group_of_one_chunk_is_computed_without_a_fork(
+    monkeypatch, use_workers, graph_file, capsys
+):
     forks = 0
     real = os.fork
 
@@ -135,7 +177,7 @@ def test_a_group_of_one_chunk_is_computed_without_a_fork(monkeypatch, graph_file
         return real()
 
     monkeypatch.setattr(os, "fork", counted)
-    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 3)
+    use_workers(3)
     for name, (text, _) in GOLDENS.items():
         assert main(["compute", "--extended", graph_file(text)]) == 0, name
     # the orders of the golden groups, none above one chunk
@@ -270,7 +312,9 @@ def test_compute_lists_the_group_of_a_12000_vertex_path_in_seconds(graph_file):
     [("verify", 0), ("census", CHUNK_GRAPHS)],
     ids=["verify-0", "census-64"],  # the command and the lines before the error
 )
-def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_before):
+def test_sweeps_report_a_group_too_large(
+    monkeypatch, use_workers, capsys, command, lines_before
+):
     # A connected-only family, so that no refusal comes before the walk, and
     # loopless, since census settles a looped graph without its group: up to
     # 5 vertices and 4 edges of multiplicity up to 2. Its first graph above
@@ -283,7 +327,7 @@ def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_bef
     monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 20)
     for workers in (1, 2):
         # with two workers the error is met in a worker and re-raised in the parent
-        monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
+        use_workers(workers)
         rc = main([command, *caps])
         captured = capsys.readouterr()
         assert rc == 2
@@ -295,7 +339,7 @@ def test_sweeps_report_a_group_too_large(monkeypatch, capsys, command, lines_bef
 
 @pytest.mark.parametrize("command", ["verify", "census"])
 def test_sweeps_refuse_the_empty_graph_over_the_cap_before_any_fork(
-    monkeypatch, capsys, command
+    monkeypatch, use_workers, capsys, command
 ):
     # Without --connected-only the empty graph on max_vertices vertices is in
     # the sweep; 10! is over the cap, and 5! = 120 over a cap patched to 100.
@@ -307,7 +351,7 @@ def test_sweeps_refuse_the_empty_graph_over_the_cap_before_any_fork(
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
+    use_workers(2)
     cap = autsign.automorphism.MAX_AUTOMORPHISMS
     for vertices, max_automorphisms in (("10", cap), ("5", 100)):
         monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", max_automorphisms)
@@ -322,7 +366,7 @@ def test_sweeps_refuse_the_empty_graph_over_the_cap_before_any_fork(
     assert forks == 0
     # in one process, the controls: connected-only, the same caps hold one
     # graph, a single vertex; and 4! = 24 is within a cap of 24
-    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 1)
+    use_workers(1)
     for caps, max_automorphisms, graphs in (
         (["10", "--connected-only"], cap, 1),
         (["4"], 24, 4),
@@ -359,8 +403,10 @@ def test_compute_refuses_a_cycle_space_too_large_under_a_memory_limit(graph_file
     )
 
 
-def test_census_settles_a_looped_graph_without_listing_its_group(monkeypatch, capsys):
-    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: 2)
+def test_census_settles_a_looped_graph_without_listing_its_group(
+    monkeypatch, use_workers, capsys
+):
+    use_workers(2)
     monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 1000)
     rc = main(["census", "--max-vertices", "1", "--max-edges", "5",
                "--max-multiplicity", "5", "--loops"])
@@ -570,7 +616,7 @@ def test_compute_into_a_closed_pipe_exits_1_and_leaves_no_worker(graph_file):
 
 def test_importing_the_cli_loads_no_pickle_signal_or_process_pool():
     # Loaded only when a sweep forks; keeps set-up time and peak RSS flat.
-    heavy = ("pickle", "signal", "multiprocessing", "concurrent.futures")
+    heavy = ("pickle", "signal", "fcntl", "multiprocessing", "concurrent.futures")
     code = (
         "import sys, autsign.cli\n"
         f"print(sorted(m for m in sys.modules for h in {heavy!r}"

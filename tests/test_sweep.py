@@ -200,12 +200,8 @@ def swaps_disagree(monkeypatch):
     monkeypatch.setattr(autsign.signs, "component_permutation_sign", wrong_on_swaps)
 
 
-def use_workers(monkeypatch, workers):
-    monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
-
-
-def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch, swaps_disagree):
-    use_workers(monkeypatch, 2)
+def test_disagreement_reaches_the_report_with_its_permutations(use_workers, swaps_disagree):
+    use_workers(2)
     report = sweep_verify(SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2))
     assert report.graphs_checked == 4
     expected = []
@@ -225,13 +221,13 @@ def test_disagreement_reaches_the_report_with_its_permutations(monkeypatch, swap
     assert not report.ok
 
 
-def test_report_does_not_depend_on_the_worker_count(monkeypatch, swaps_disagree):
+def test_report_does_not_depend_on_the_worker_count(use_workers, swaps_disagree):
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=1, allow_loops=True)
     chunks = -(-len(list(enumerate_multigraphs(params))) // CHUNK_GRAPHS)
     assert chunks > 2 * 3
     reports = []
     for workers in (1, 2, 3):
-        use_workers(monkeypatch, workers)
+        use_workers(workers)
         reports.append(dataclasses.replace(sweep_verify(params), elapsed_seconds=0.0))
     assert len({f.graph for f in reports[0].failures}) > CHUNK_GRAPHS
     assert reports[0] == reports[1] == reports[2]
@@ -267,7 +263,7 @@ def _census_list(params):
     ids=_FAILURE_IDS + [f"census-{i}" for i in _FAILURE_IDS],
 )
 def test_a_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
-    monkeypatch, per_graph, sweep, fail, error, message
+    monkeypatch, use_workers, per_graph, sweep, fail, error, message
 ):
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
     # In the fourth chunk, while the other workers are still busy.
@@ -280,7 +276,7 @@ def test_a_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
         return real(g)
 
     monkeypatch.setattr(autsign.sweep, per_graph, fail_on_target)
-    use_workers(monkeypatch, 3)
+    use_workers(3)
     with pytest.raises(error, match=message):
         sweep(params)
     with pytest.raises(ChildProcessError):
@@ -290,7 +286,7 @@ def test_a_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 @pytest.mark.parametrize("fail, error, message", _FAILURES, ids=_FAILURE_IDS)
 def test_a_compute_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
-    monkeypatch, tmp_path, capsys, fail, error, message
+    monkeypatch, use_workers, tmp_path, capsys, fail, error, message
 ):
     # one vertex with 4 loops: one block of 384 automorphisms, 6 chunks
     text = "v 1\n" + "e 0 0\n" * 4
@@ -307,7 +303,7 @@ def test_a_compute_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
         return real(g, o, a)
 
     monkeypatch.setattr(autsign.signs, "induced_signed_edge_perm", fail_on_target)
-    use_workers(monkeypatch, 3)
+    use_workers(3)
     with pytest.raises(error, match=message):
         main(["compute", str(path)])
     with pytest.raises(ChildProcessError):
@@ -318,13 +314,13 @@ def test_a_compute_worker_failure_reaches_the_caller_and_every_worker_is_reaped(
     assert lines[-1].startswith(f"[{3 * CHUNK_GRAPHS - 1}] ")
 
 
-def test_census_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
+def test_census_output_does_not_depend_on_the_worker_count(use_workers, capsys):
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=1, allow_loops=True)
     graphs = len(list(enumerate_multigraphs(params)))
     assert -(-graphs // CHUNK_GRAPHS) > 2 * 3
     outputs = []
     for workers in (1, 2, 3):
-        use_workers(monkeypatch, workers)
+        use_workers(workers)
         assert main(["census", "--max-vertices", "4", "--max-edges", "4", "--loops"]) == 0
         outputs.append(capsys.readouterr().out)
     assert len(outputs[0].splitlines()) == graphs + 1
@@ -332,7 +328,7 @@ def test_census_output_does_not_depend_on_the_worker_count(monkeypatch, capsys):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
-def test_the_census_parent_walks_no_vector(monkeypatch):
+def test_the_census_parent_walks_no_vector(monkeypatch, use_workers):
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
     graphs = len(list(enumerate_multigraphs(params)))
     parent = os.getpid()
@@ -346,14 +342,14 @@ def test_the_census_parent_walks_no_vector(monkeypatch):
             yield item
 
     monkeypatch.setattr(autsign.sweep, "_kept_vectors", counted)
-    use_workers(monkeypatch, 2)
+    use_workers(2)
     assert len(list(census_orientable(params))) == graphs
     assert walked == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
-def test_closing_the_census_early_leaves_no_worker(monkeypatch):
-    use_workers(monkeypatch, 2)
+def test_closing_the_census_early_leaves_no_worker(use_workers):
+    use_workers(2)
     params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True)
     stream = census_orientable(params)
     first = next(stream)
