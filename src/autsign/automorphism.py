@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 from .multigraph import Multigraph, Orientation
@@ -101,16 +102,13 @@ def induced_signed_edge_perm(
 
 
 def _lifts(
-    g: Multigraph,
-    ends: dict[tuple[int, int], list[int]],
-    vperm: tuple[int, ...],
-    digits: list[int],
-) -> Iterator[Automorphism]:
-    """The automorphisms over a multiplicity-preserving vertex bijection, in
-    lexicographic order of half_edge_perm, from the one that sends each edge
-    e to its ``digits[e]``-th free target (counted from 0) on.
-    ``ends[(a, b)]`` lists, ascending, the half-edges at a whose edge ends
-    at b: both halves of each loop at a when b == a.
+    g: Multigraph, ends: dict[tuple[int, int], list[int]], vperm: tuple[int, ...]
+) -> Iterator[list[int]]:
+    """The half_edge_perms of the automorphisms over a multiplicity-preserving
+    vertex bijection, in lexicographic order, each yielded as the one list
+    that the walk rewrites in place. ``ends[(a, b)]`` lists, ascending, the
+    half-edges at a whose edge ends at b: both halves of each loop at a when
+    b == a.
 
     Edge e's first half may go to any half-edge h in
     ends[(vperm[a], vperm[b])], where a and b are e's ends, and h fixes the
@@ -120,31 +118,15 @@ def _lifts(
     before the flipped one. Only the current path is held.
     """
     m = g.edge_count
+    hep = [0] * (2 * m)
     if m == 0:
-        yield Automorphism((), vperm)
+        yield hep
         return
     endpoint = g.endpoint
     targets = [ends[(vperm[endpoint[h]], vperm[endpoint[h + 1]])] for h in range(0, 2 * m, 2)]
-    hep = [0] * (2 * m)
     taken = [False] * m
-    # stack[e] walks the rest of targets[e]; the edges below the top are
-    # placed and taken
-    stack: list[Iterator[int]] = []
-    for e, skip in enumerate(digits):
-        # pass over ``skip`` free targets, and take the next one
-        free = iter(targets[e])
-        for h in free:
-            if not taken[h >> 1]:
-                if not skip:
-                    break
-                skip -= 1
-        stack.append(free)
-        hep[2 * e] = h
-        hep[2 * e + 1] = h ^ 1
-        taken[h >> 1] = True
-    # the top edge is placed but not taken
-    taken[hep[-1] >> 1] = False
-    yield Automorphism(tuple(hep), vperm)
+    # stack[e] walks targets[e]; the edges below the top are placed and taken
+    stack = [iter(targets[0])]
     while stack:
         e = len(stack) - 1
         for h in stack[e]:
@@ -153,7 +135,7 @@ def _lifts(
             hep[2 * e] = h
             hep[2 * e + 1] = h ^ 1
             if e == m - 1:
-                yield Automorphism(tuple(hep), vperm)
+                yield hep
                 continue
             taken[h >> 1] = True
             stack.append(iter(targets[e + 1]))
@@ -235,9 +217,10 @@ def automorphism_shares(
 
     Each multiplicity-preserving vertex bijection has a block of lifts, all
     blocks of one size. The bijections are collected here, in lexicographic
-    order, so GroupTooLargeError is raised before any automorphism is built;
-    a share then starts each run of owned indices at its rank in the block
-    and builds the lifts from there one at a time, already in order. The
+    order, so GroupTooLargeError is raised before any automorphism is built.
+    A share then walks the lifts of each block in which it owns an index,
+    from the block's start and in order, up to its last owned index there; it
+    passes over the lifts of other indices without building them. The
     automorphisms of a block share one vertex_perm tuple.
     """
     # A class of k parallel edges is matched in k! ways and each loop may
@@ -264,38 +247,20 @@ def automorphism_shares(
         ends.setdefault((v, g.endpoint[h ^ 1]), []).append(h)
     order = bijections * block
 
-    m, endpoint = g.edge_count, g.endpoint
-
-    def digits(rank: int) -> list[int]:
-        """The lift of a rank in a block, as the position of each edge's
-        image among its free targets. Whatever the edges before it chose,
-        edge e has the same number of free targets: the edges of its
-        parallel class from e on, times 2 for a loop. So the rank is a
-        mixed-radix number with these digits, edge 0 the most significant."""
-        out = [0] * m
-        later: dict[tuple[int, int], int] = {}
-        e = m
-        while rank:
-            e -= 1
-            a, b = endpoint[2 * e], endpoint[2 * e + 1]
-            pair = (a, b) if a <= b else (b, a)
-            later[pair] = later.get(pair, 0) + 1
-            rank, out[e] = divmod(rank, later[pair] * (2 if a == b else 1))
-        return out
-
     def share(owns: Callable[[int], bool]) -> Iterator[Automorphism]:
-        # lifts walks block b from the start of the current run of owned
-        # indices; it yields index i next when i == after and i does not
-        # start a block
-        b = after = -1
+        # lifts walks block b from its start; it yields index ``at`` next
+        b = at = -1
         for i in filter(owns, range(order)):
-            if i != after or i % block == 0:
-                if i // block != b:
-                    b = i // block
-                    vperm = tuple(table[b * n:(b + 1) * n])
-                lifts = _lifts(g, ends, vperm, digits(i % block))
-            yield next(lifts)
-            after = i + 1
+            if i // block != b:
+                b = i // block
+                vperm = tuple(table[b * n:(b + 1) * n])
+                lifts = _lifts(g, ends, vperm)
+                at = b * block
+            if i != at:
+                # pass over the lifts before i without building them
+                next(islice(lifts, i - at - 1, None))
+            at = i + 1
+            yield Automorphism(tuple(next(lifts)), vperm)
 
     return order, share
 

@@ -15,7 +15,6 @@ import os
 import random
 import sys
 from dataclasses import asdict
-from pathlib import Path
 from typing import Callable, Iterator
 
 from .automorphism import (
@@ -32,6 +31,7 @@ from .homology import (
     fundamental_cycles,
 )
 from .multigraph import (
+    MAX_GRAPH_BYTES,
     GraphFormatError,
     parse_graph,
     random_orientation,
@@ -84,7 +84,15 @@ def _compute_line(i: int, vperm_cycles: str, r: SignComparison) -> str:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     try:
-        g = parse_graph(Path(args.graph_file).read_text(encoding="utf-8"))
+        with open(args.graph_file, "rb") as f:
+            data = f.read(MAX_GRAPH_BYTES + 1)
+        if len(data) > MAX_GRAPH_BYTES:
+            print(
+                f"error: {args.graph_file} is longer than the limit of {MAX_GRAPH_BYTES} bytes",
+                file=sys.stderr,
+            )
+            return 2
+        g = parse_graph(data.decode("utf-8"))
     except (OSError, UnicodeDecodeError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,11 @@ MAX_VERTICES = 100_000
 # The largest edge count parse_graph accepts. Every listed automorphism holds
 # a half-edge permutation with two entries per edge (1.6 MB at the cap).
 MAX_EDGES = 100_000
+# The longest graph file `compute` reads. The largest graph parse_graph
+# accepts, written one directive a line ("e 99999 99999"), takes 1.4 MB, so
+# the cap leaves room for comments; reading stops one byte past it, so an
+# endless file such as /dev/zero is refused without being held.
+MAX_GRAPH_BYTES = 4 << 20
 
 
 class GraphFormatError(ValueError):

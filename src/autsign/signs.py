@@ -114,18 +114,20 @@ def chain_determinant_check(
     cycle_space_det * vertex_space_det == edge_space_det.
     """
     sep = induced_signed_edge_perm(g, o, a)
-    return _chain_determinants(g, basis, a, sep, component_permutation_sign(g, a))
+    cycle_space_det = _bareiss(_cycle_matrix_rows(basis, sep))
+    return _chain_determinants(g, a, sep, cycle_space_det, component_permutation_sign(g, a))
 
 
 def _chain_determinants(
     g: Multigraph,
-    basis: CycleBasis,
     a: Automorphism,
     sep: SignedEdgePermutation,
+    cycle_space_det: int,
     component_sign: int,
 ) -> DeterminantFactors:
-    """chain_determinant_check on the signed edge permutation ``sep`` of ``a``
-    and the parity ``component_sign`` of its permutation of components."""
+    """chain_determinant_check on the signed edge permutation ``sep`` of ``a``,
+    the determinant ``cycle_space_det`` of its matrix on the cycle basis and
+    the parity ``component_sign`` of its permutation of components."""
     m, n = g.edge_count, g.vertex_count
     edge_rows = [[0] * m for _ in range(m)]
     for e in range(m):
@@ -136,7 +138,7 @@ def _chain_determinants(
     return DeterminantFactors(
         edge_space_det=_bareiss(edge_rows),
         vertex_space_det=_bareiss(vertex_rows),
-        cycle_space_det=_bareiss(_cycle_matrix_rows(basis, sep)),
+        cycle_space_det=cycle_space_det,
         component_sign=component_sign,
     )
 
@@ -155,8 +157,9 @@ def comparisons(
     arrow signs; the homological route takes the exact determinant of the
     explicit cycle-space matrix. Neither sees the other's result. With ``diagnostics``
     each record also carries the factors of chain_determinant_check, taken
-    from explicit matrices on the same signed edge permutation and the
-    block's component parity.
+    from explicit matrices on the same signed edge permutation, with the
+    cycle-space determinant the homological route has already checked to be
+    +-1 and the block's component parity.
     """
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
@@ -169,9 +172,12 @@ def comparisons(
         sep = induced_signed_edge_perm(g, o, a)
         edge_parity = permutation_sign(sep.edge_perm)
         comb = prod(sep.edge_sign, start=vertex_parity)
-        hom = edge_parity * cycle_space_det_sign(basis, sep) * component_parity
+        cycle_space_det = cycle_space_det_sign(basis, sep)
+        hom = edge_parity * cycle_space_det * component_parity
         factors = (
-            _chain_determinants(g, basis, a, sep, component_parity) if diagnostics else None
+            _chain_determinants(g, a, sep, cycle_space_det, component_parity)
+            if diagnostics
+            else None
         )
         yield SignComparison(hom, comb, a, sep, vertex_parity, edge_parity, factors)
 
@@ -193,11 +199,17 @@ def has_odd_automorphism(g: Multigraph) -> bool:
     and every edge and reverses one arrow. Otherwise the combinatorial route
     is used alone (no homology needed); the agreement of the two routes is
     what verify_graph certifies. The group is streamed one lift at a time,
-    so no lift is built past the first odd automorphism.
+    so no lift is built past the first odd automorphism, and the vertex
+    parity is taken once per block, as in comparisons.
     """
     if any(a == b for a, b in g.edge_multiplicities):
         return True
     o = reference_orientation(g)
-    return any(
-        combinatorial_sign(g, o, a) == -1 for a in stream_automorphisms(g)[1]
-    )
+    vperm = None
+    for a in stream_automorphisms(g)[1]:
+        if a.vertex_perm is not vperm:
+            vperm = a.vertex_perm
+            vertex_parity = permutation_sign(vperm)
+        if prod(induced_signed_edge_perm(g, o, a).edge_sign, start=vertex_parity) == -1:
+            return True
+    return False

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,6 +32,26 @@ GOLDENS = {
     "loop_plus_edge": Golden("v 2\ne 0 0\ne 0 1\n", (1, -1)),
     "two_edges_disjoint": Golden("v 4\ne 0 1\ne 2 3\n", (1, 1, 1, 1, 1, 1, 1, 1)),
 }
+
+
+def count_calls(functions, run):
+    """Calls of each of ``functions`` while ``run()`` runs, by name. Calls are
+    matched on the function's code object, so the count does not depend on
+    the module a caller imported the name from."""
+    codes = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
 
 
 @pytest.fixture

@@ -202,6 +202,27 @@ def test_a_share_builds_no_lift_outside_its_chunks(monkeypatch, text, order, own
     assert len(list(share(lambda i: i // 64 % 2 == 1))) == len(built) == owned
 
 
+def test_a_share_walks_a_block_up_to_its_last_owned_lift(monkeypatch):
+    # LOOP4 is one block of 384. Of two shares of 64-element chunks, the
+    # first owns up to rank 319 and the second up to rank 383; each walks the
+    # block once, from its start, and stops at its last owned lift.
+    real = autsign.automorphism._lifts
+    walked = []
+
+    def counted(*args):
+        walked.append(0)
+        for hep in real(*args):
+            walked[-1] += 1
+            yield hep
+
+    monkeypatch.setattr(autsign.automorphism, "_lifts", counted)
+    _, share = automorphism_shares(parse_graph(LOOP4))
+    for k, last in ((0, 319), (1, 383)):
+        walked.clear()
+        assert len(list(share(lambda i: i // 64 % 2 == k))) == 192
+        assert walked == [last + 1], k
+
+
 def _kernel_order(g):
     """|K|: the lifts of one vertex bijection, from the edge multiplicities."""
     block = 1

@@ -17,8 +17,10 @@ from autsign import (
     verify_graph,
 )
 from autsign.cli import main
+from autsign.homology import _cycle_matrix_rows
+from autsign.multigraph import MAX_EDGES, MAX_GRAPH_BYTES, MAX_VERTICES
 from autsign.sweep import CHUNK_GRAPHS, PIPE_BYTES
-from conftest import GOLDENS
+from conftest import GOLDENS, count_calls
 
 
 @pytest.fixture
@@ -188,32 +190,13 @@ def test_a_group_of_one_chunk_is_computed_without_a_fork(
     assert forks == 2
 
 
-def count_calls(functions, run):
-    """Calls of each of ``functions`` while ``run()`` runs, by name. Calls are
-    matched on the function's code object, so the count does not depend on
-    the module a caller imported the name from."""
-    codes = {f.__code__: f.__name__ for f in functions}
-    counts = dict.fromkeys(codes.values(), 0)
-
-    def profile(frame, event, _arg):
-        if event == "call" and frame.f_code in codes:
-            counts[codes[frame.f_code]] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
-    return counts
-
-
 def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_file, capsys):
     # The edge parity takes one permutation_sign call per automorphism and the
     # vertex parity one per vertex-bijection block. The component parity takes
     # one more per block on a disconnected graph, none on a connected one.
-    # With diagnostics, the chain determinants reuse the automorphism's signed
-    # permutation and the block's component parity.
+    # The cycle-space matrix is built once per automorphism: with diagnostics,
+    # the chain determinants reuse the automorphism's signed permutation, its
+    # checked cycle-space determinant and the block's component parity.
     names = ("loop", "double_edge", "triangle", "path4", "loop_plus_edge", "two_edges_disjoint")
     for name in names:
         g = parse_graph(GOLDENS[name].text)
@@ -222,9 +205,13 @@ def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_fi
         # one chunk, so compute runs in this process, where the profile sees it
         assert order <= CHUNK_GRAPHS, name
         parities = order + blocks * (1 if g.is_connected else 2)
-        expected = {"induced_signed_edge_perm": order, "permutation_sign": parities}
+        expected = {
+            "induced_signed_edge_perm": order,
+            "permutation_sign": parities,
+            "_cycle_matrix_rows": order,
+        }
         path = graph_file(GOLDENS[name].text)
-        counted = (induced_signed_edge_perm, permutation_sign)
+        counted = (induced_signed_edge_perm, permutation_sign, _cycle_matrix_rows)
         plain = [] if g.is_connected else ["--extended"]
         for flags in (plain, [*plain, "--diagnostics"]):
             calls = count_calls(counted, lambda: main(["compute", path, *flags]))
@@ -401,6 +388,64 @@ def test_compute_refuses_a_cycle_space_too_large_under_a_memory_limit(graph_file
     assert proc.stderr == (
         "error: the cycle space has rank 19701, more than 64, too large to hold\n"
     )
+
+
+def run_compute_under_a_memory_limit(path):
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "autsign", "compute", path],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+
+
+# "v 1" and then the shortest comment lines, "#", up to the cap
+AT_THE_FILE_CAP = "v 1\n" + "#\n" * ((MAX_GRAPH_BYTES - 4) // 2)
+
+
+@pytest.mark.parametrize(
+    "text", [AT_THE_FILE_CAP + "#", None], ids=["one-byte-over", "dev-zero"]
+)
+def test_compute_refuses_a_file_over_the_cap_before_reading_it_all(graph_file, text):
+    # Read whole, /dev/zero ran out of this address space with a MemoryError
+    # traceback, as did 200 MB of comment lines under 400 MB.
+    if text is None:
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero")
+        path = "/dev/zero"
+    else:
+        assert len(text.encode()) == MAX_GRAPH_BYTES + 1
+        path = graph_file(text)
+    proc = run_compute_under_a_memory_limit(path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: {path} is longer than the limit of {MAX_GRAPH_BYTES} bytes\n"
+    )
+
+
+def test_compute_parses_a_file_at_the_cap(graph_file):
+    assert len(AT_THE_FILE_CAP.encode()) == MAX_GRAPH_BYTES
+    proc = run_compute_under_a_memory_limit(graph_file(AT_THE_FILE_CAP))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:3] == [
+        "graph: v 1",
+        "vertices: 1  edges: 0  components: 1  cycle_rank: 0",
+        "automorphisms: 1",
+    ]
+
+
+def test_the_largest_graph_fits_in_the_file_cap():
+    # the highest vertex index in each of MAX_EDGES edges, one to a line
+    largest = f"v {MAX_VERTICES}\n" + f"e {MAX_VERTICES - 1} {MAX_VERTICES - 1}\n" * MAX_EDGES
+    assert len(largest.encode()) * 2 < MAX_GRAPH_BYTES
+    assert parse_graph(largest).edge_count == MAX_EDGES
 
 
 def test_census_settles_a_looped_graph_without_listing_its_group(

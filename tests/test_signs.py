@@ -26,7 +26,7 @@ from autsign import (
     stream_automorphisms,
     verify_graph,
 )
-from conftest import GOLDENS, multigraphs
+from conftest import GOLDENS, count_calls, multigraphs
 from oracles import compose, invert
 
 GOLDEN_SIGNS = sorted((name, signs) for name, (_, signs) in GOLDENS.items())
@@ -203,6 +203,16 @@ def test_two_isolated_vertices_are_odd():
 def test_path5_flip_is_even():
     g = parse_graph("v 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n")
     assert has_odd_automorphism(g) is False
+
+
+def test_the_census_takes_one_vertex_parity_per_block():
+    # 6 automorphisms, all over the identity bijection, and none odd: each
+    # lift gets its own arrow signs, the block one vertex parity
+    g = parse_graph("v 3\ne 0 1\ne 0 1\ne 0 1\ne 1 2\n")
+    calls = count_calls(
+        (permutation_sign, induced_signed_edge_perm), lambda: has_odd_automorphism(g)
+    )
+    assert calls == {"permutation_sign": 1, "induced_signed_edge_perm": 6}
 
 
 def test_sign_homomorphism_property(golden):
