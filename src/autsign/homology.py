@@ -11,13 +11,15 @@ from typing import Sequence
 from .automorphism import Automorphism, SignedEdgePermutation, induced_signed_edge_perm
 from .multigraph import Multigraph, Orientation, SpanningForest
 
-# The largest cycle rank whose cycle space is built. The basis is sparse,
-# but each automorphism's matrix on it is dense, rank x rank, and Bareiss
-# elimination on it takes up to rank**3 steps, so the cap bounds the memory
-# and time per automorphism: a seeded simple graph with 300 vertices and
-# 20000 edges (rank 19701) would need 3.9e8 entries, about 3.1 GB of
-# references, for each matrix. Every pinned graph has rank at most 6, and
-# the isomorphism-class frontier (6-7 vertices, 7-8 edges) at most 8.
+# The largest cycle rank whose cycle space is built. The basis takes O(V + E)
+# ints at any rank, and each automorphism's determinant expands the rows of
+# non-tree edges in O(E), but the rows that tree edges map onto are built
+# dense and eliminated by Bareiss, up to rank x rank entries and rank**3
+# steps, so the cap bounds the memory and time per automorphism: a seeded
+# simple graph with 300 vertices and 20000 edges (rank 19701) would need
+# 3.9e8 entries, about 3.1 GB of references, for one matrix. Every pinned
+# graph has rank at most 6, and the isomorphism-class frontier (6-7
+# vertices, 7-8 edges) at most 8.
 MAX_CYCLE_RANK = 64
 
 
@@ -76,82 +78,135 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """Fundamental cycles of a spanning forest, as a basis of the cycle space.
+    """Fundamental cycles of a spanning forest, as a basis of the cycle space,
+    held as subtree intervals in O(V + E) ints.
 
-    ``cycles[i]`` lists cycle i's nonzero ``(edge, coefficient)`` pairs by
-    ascending edge: +1 on its own non-tree edge, +-1 on tree edges, so a
-    cycle's coordinates in this basis are its non-tree-edge coefficients.
-    ``row_of_edge[e]`` is the index of non-tree edge e's cycle, -1 at a tree edge.
+    ``row_of_edge[e]`` is the index of non-tree edge e's cycle, -1 at a tree
+    edge, and cycle i runs along its non-tree edge from ``tail[i]`` to
+    ``head[i]``, then back through the forest. The vertices of v's subtree
+    are the u with ``enter[v] <= enter[u] < leave[v]``, their entry times in a
+    preorder tour of the forest. A tree edge e joins ``child[e]`` (-1 at a
+    non-tree edge) to its parent, and ``arrow[e]`` is +1 when its arrow leaves
+    the child, -1 when it enters it. Tree edge e lies on cycle i when exactly
+    one end of the cycle's non-tree edge is in the child's subtree; its
+    coefficient is ``arrow[e]`` when that end is the head, ``-arrow[e]`` when
+    it is the tail, so every cycle is in the kernel of the boundary.
     """
 
-    cycles: tuple[tuple[tuple[int, int], ...], ...]
     row_of_edge: tuple[int, ...]
+    head: tuple[int, ...]
+    tail: tuple[int, ...]
+    enter: tuple[int, ...]
+    leave: tuple[int, ...]
+    child: tuple[int, ...]
+    arrow: tuple[int, ...]
+
+    def cycle(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Cycle i's nonzero ``(edge, coefficient)`` pairs by ascending edge:
+        +1 on its own non-tree edge, +-1 on tree edges, so a cycle's
+        coordinates in this basis are its non-tree-edge coefficients."""
+        return tuple((e, c) for e in range(len(self.child)) if (c := _row(self, e, 1, (i,))[0]))
 
 
 def fundamental_cycles(g: Multigraph, o: Orientation, forest: SpanningForest) -> CycleBasis:
     """One cycle per non-tree edge: the edge plus the forest path closing it.
 
-    The path is read off the forest's parent edges, climbing from the edge's
-    head and from its tail, the deeper end first, until the two climbs meet.
-    Walked from the head back to the tail, a tree edge is signed +1 where it
-    is traversed along its arrow, which puts every cycle in the kernel of
-    the boundary.
+    The forest's parent edges are checked once; a preorder tour then numbers
+    the vertices so that each subtree is an interval, and the basis holds
+    only those intervals, each tree edge's child and arrow, and each non-tree
+    edge's ends, not the cycles' paths (see CycleBasis).
     Raises CycleSpaceTooLargeError before building anything when the cycle
     rank is above MAX_CYCLE_RANK, and ValueError when ``o`` is not an
     orientation of ``g`` or ``forest`` is not a spanning forest of it.
     """
     check_cycle_rank(g)
-    m, tail, parent_edge, depth = g.edge_count, o.tail, forest.parent_edge, forest.depth
+    m, n, endpoint = g.edge_count, g.vertex_count, g.endpoint
+    tail, parent_edge, depth = o.tail, forest.parent_edge, forest.depth
     if len(tail) != m:
         raise ValueError("orientation does not belong to the graph")
-    if not len(parent_edge) == len(depth) == g.vertex_count:
+    if not len(parent_edge) == len(depth) == n:
         raise ValueError("forest does not belong to the graph")
     # Each vertex but a root (-1 at depth 0) steps up its parent edge a level.
     # No two steps share an edge, so they make a forest; it spans g when it
-    # leaves out cycle_rank edges.
-    row_of_edge = [0] * m
-    for x, f in enumerate(parent_edge):
+    # leaves out cycle_rank edges. Walked deepest first, each step also adds
+    # the vertex's subtree size to its parent's, kept in leave for now.
+    order = sorted(range(n), key=depth.__getitem__)  # parents before children
+    child, arrow, leave = [-1] * m, [0] * m, [1] * n
+    for x in reversed(order):
+        f = parent_edge[x]
         if f != -1 or depth[x]:
             ends = g.edge_ends(f) if 0 <= f < m else ()
-            if x not in ends or depth[sum(ends) - x] != depth[x] - 1:
+            p = sum(ends) - x
+            if x not in ends or depth[p] != depth[x] - 1:
                 raise ValueError(f"forest does not connect vertex {x} to a parent")
-            row_of_edge[f] = -1
-    if m - row_of_edge.count(-1) != g.cycle_rank:
+            child[f] = x
+            arrow[f] = 1 if endpoint[tail[f]] == x else -1
+            leave[p] += leave[x]
+    if child.count(-1) != g.cycle_rank:
         raise ValueError("forest does not belong to the graph")
-    cycles: list[tuple[tuple[int, int], ...]] = []
-    for e in range(m):
-        if row_of_edge[e] < 0:
-            continue
-        row_of_edge[e] = len(cycles)
-        # x climbs from the head side (s = +1) or the tail side, the deeper first
-        x, y, s = g.endpoint[tail[e] ^ 1], g.endpoint[tail[e]], 1
-        pairs = [(e, 1)]
-        while x != y:
-            if depth[x] < depth[y]:
-                x, y, s = y, x, -s
-            f = parent_edge[x]
-            pairs.append((f, s if g.endpoint[tail[f]] == x else -s))
-            x = sum(g.edge_ends(f)) - x
-        cycles.append(tuple(sorted(pairs)))
-    return CycleBasis(tuple(cycles), tuple(row_of_edge))
+    # Entry times top-down: the roots take consecutive intervals of their
+    # subtrees' sizes, and so do a vertex's children after its own entry,
+    # while leave[x] passes each child of x in turn, ending past its subtree.
+    enter = [0] * n
+    next_root = 0
+    for x in order:
+        f = parent_edge[x]
+        if f < 0:
+            enter[x] = next_root
+            next_root += leave[x]
+        else:
+            p = endpoint[2 * f] + endpoint[2 * f + 1] - x  # the parent
+            enter[x] = leave[p]
+            leave[p] += leave[x]
+        leave[x] = enter[x] + 1
+    row_of_edge = [-1] * m
+    heads: list[int] = []
+    tails: list[int] = []
+    for e, x in enumerate(child):
+        if x < 0:
+            row_of_edge[e] = len(heads)
+            heads.append(endpoint[tail[e] ^ 1])
+            tails.append(endpoint[tail[e]])
+    # order goes, and each table becomes a tuple before the next, so that a
+    # long path holds one copy of one table at a time
+    del order
+    row_of_edge = tuple(row_of_edge)
+    enter = tuple(enter)
+    leave = tuple(leave)
+    child = tuple(child)
+    return CycleBasis(row_of_edge, tuple(heads), tuple(tails), enter, leave, child, tuple(arrow))
+
+
+def _row(basis: CycleBasis, e: int, s: int, columns: Sequence[int]) -> list[int]:
+    """The entries in ``columns`` of the row that edge e, with arrow sign s,
+    maps onto: s times e's coefficient in each column's cycle."""
+    x = basis.child[e]
+    if x < 0:
+        j = basis.row_of_edge[e]
+        return [s if k == j else 0 for k in columns]
+    lo, hi, a = basis.enter[x], basis.leave[x], basis.arrow[e] * s
+    enter, head, tail = basis.enter, basis.head, basis.tail
+    return [((lo <= enter[head[k]] < hi) - (lo <= enter[tail[k]] < hi)) * a for k in columns]
 
 
 def _cycle_matrix_rows(basis: CycleBasis, sep: SignedEdgePermutation) -> list[list[int]]:
-    """Rows of the matrix of a signed edge permutation on the cycle basis.
+    """Rows of the matrix of a signed edge permutation on the cycle basis,
+    built dense for chain_determinant_check and induced_cycle_matrix.
 
     Column j holds the coordinates of the image of basis cycle j, read off as
-    the image's non-tree-edge coefficients.
+    the image's non-tree-edge coefficients: row i comes from the one edge e
+    that maps onto non-tree edge i, and holds e's coefficient in each cycle
+    times e's arrow sign.
     """
-    dim = len(basis.cycles)
+    dim = len(basis.head)
     if len(basis.row_of_edge) != len(sep.edge_perm):
         raise ValueError("cycle basis does not match the graph")
-    row_of_edge, edge_perm, edge_sign = basis.row_of_edge, sep.edge_perm, sep.edge_sign
     rows = [[0] * dim for _ in range(dim)]
-    for j, cycle in enumerate(basis.cycles):
-        for e, c in cycle:
-            i = row_of_edge[edge_perm[e]]
-            if i >= 0:
-                rows[i][j] = c * edge_sign[e]
+    columns = range(dim)
+    for e, f in enumerate(sep.edge_perm):
+        i = basis.row_of_edge[f]
+        if i >= 0:
+            rows[i] = _row(basis, e, sep.edge_sign[e], columns)
     return rows
 
 
@@ -259,8 +314,59 @@ def det_sign(m: IntMatrix, require_unimodular: bool = False) -> int:
 
 def cycle_space_det_sign(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
     """det_sign(..., require_unimodular=True) of the matrix of ``sep`` on the
-    cycle basis, eliminating on its rows without building an IntMatrix."""
-    return _sign(_bareiss(_cycle_matrix_rows(basis, sep)), require_unimodular=True)
+    cycle basis, taken by _cycle_space_det without building the matrix."""
+    return _sign(_cycle_space_det(basis, sep), require_unimodular=True)
+
+
+def _cycle_space_det(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
+    """Exact determinant of the matrix of ``sep`` on the cycle basis, by
+    Laplace expansion along its one-entry rows.
+
+    The row of a non-tree edge e holds one entry, e's arrow sign in e's own
+    column; such rows are expanded as they are met, and two of them in one
+    column make the determinant 0. The rows of tree edges are built on the
+    columns left over and eliminated by _bareiss. The determinant is the
+    product of the one-entry values, the sign of the row-to-column pairing
+    (the tree rows, in edge order, taking the columns left over in ascending
+    order) and the tree rows' determinant. Reads only the rows' entries, in
+    exact integers.
+    """
+    row_of_edge, edge_sign = basis.row_of_edge, sep.edge_sign
+    if len(row_of_edge) != len(sep.edge_perm):
+        raise ValueError("cycle basis does not match the graph")
+    row_at = [-1] * len(basis.head)  # row_at[j]: the row paired with column j
+    if not row_at:  # rank 0: no edge maps onto a non-tree edge
+        return 1
+    tree_edges: list[int] = []
+    tree_rows: list[int] = []
+    det = 1
+    for e, f in enumerate(sep.edge_perm):
+        i = row_of_edge[f]
+        if i < 0:
+            continue
+        j = row_of_edge[e]
+        if j < 0:
+            tree_edges.append(e)
+            tree_rows.append(i)
+        elif row_at[j] >= 0:
+            return 0
+        else:
+            row_at[j] = i
+            if edge_sign[e] < 0:
+                det = -det
+    if tree_edges:
+        free = [j for j, i in enumerate(row_at) if i < 0]
+        for j, i in zip(free, tree_rows):
+            row_at[j] = i
+        det *= _bareiss([_row(basis, e, edge_sign[e], free) for e in tree_edges])
+    # the pairing's parity: each swap puts one more row in its own column
+    for j in range(len(row_at)):
+        i = row_at[j]
+        while i != j:
+            row_at[j], row_at[i] = row_at[i], i
+            i = row_at[j]
+            det = -det
+    return det
 
 
 def _sign(d: int, require_unimodular: bool) -> int:

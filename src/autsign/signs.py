@@ -155,11 +155,13 @@ def comparisons(
     stream. Each automorphism gets its own signed edge permutation and edge
     parity. The combinatorial route reads only the vertex parity and the
     arrow signs; the homological route takes the exact determinant of the
-    explicit cycle-space matrix. Neither sees the other's result. With ``diagnostics``
-    each record also carries the factors of chain_determinant_check, taken
-    from explicit matrices on the same signed edge permutation, with the
-    cycle-space determinant the homological route has already checked to be
-    +-1 and the block's component parity.
+    cycle-space matrix row by row, expanding the rows of non-tree edges and
+    eliminating only those of tree edges (cycle_space_det_sign). Neither
+    sees the other's result. With ``diagnostics`` each record also carries
+    the factors of chain_determinant_check, taken from explicit matrices on
+    the same signed edge permutation, with the cycle-space determinant the
+    homological route has already checked to be +-1 and the block's
+    component parity.
     """
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))

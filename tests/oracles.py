@@ -3,8 +3,9 @@
 Nothing here shares code with the library's production paths: automorphisms
 come from filtering all half-edge permutations, determinants from the
 permutation-sum formula, parities from inversion counting, spanning forests
-from rescanning every edge per tree edge, vertex bijections from comparing
-each candidate image with every placed vertex. The group
+from rescanning every edge per tree edge, fundamental cycles from climbing
+the forest's parent edges, vertex bijections from comparing each candidate
+image with every placed vertex. The group
 operations, the boundary matrix and the matrix product serve only the tests'
 algebraic laws, so they live here too.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from autsign import Automorphism, IntMatrix, Multigraph, Orientation
+from autsign import Automorphism, IntMatrix, Multigraph, Orientation, SpanningForest
 
 
 def brute_force_automorphisms(g: Multigraph) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -174,6 +175,35 @@ def scan_spanning_forest(
             a, b = g.edge_ends(pick)
             reached[b if reached[a] else a] = True
     return frozenset(tree), tuple(roots)
+
+
+def climbed_cycles(
+    g: Multigraph, o: Orientation, forest: SpanningForest
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each non-tree edge's fundamental cycle, in edge order, as its nonzero
+    ``(edge, coefficient)`` pairs by ascending edge: the edge with +1, and
+    the forest path from its head back to its tail, read off by climbing the
+    parent edges from both ends, the deeper end first, until the climbs
+    meet. A tree edge is +1 where the walk from head to tail follows its
+    arrow. O(rank * depth)."""
+    tree = {f for f in forest.parent_edge if f >= 0}
+    depth, parent_edge = forest.depth, forest.parent_edge
+    cycles = []
+    for e in range(g.edge_count):
+        if e in tree:
+            continue
+        # x climbs from the head side (s = +1) or the tail side, the deeper first
+        x, y, s = g.endpoint[o.head(e)], g.endpoint[o.tail[e]], 1
+        pairs = [(e, 1)]
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y, s = y, x, -s
+            f = parent_edge[x]
+            pairs.append((f, s if g.endpoint[o.tail[f]] == x else -s))
+            a, b = g.edge_ends(f)
+            x = b if a == x else a
+        cycles.append(tuple(sorted(pairs)))
+    return tuple(cycles)
 
 
 def scan_vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from autsign import (
     verify_graph,
 )
 from autsign.cli import main
-from autsign.homology import _cycle_matrix_rows
+from autsign.homology import _cycle_space_det
 from autsign.multigraph import MAX_EDGES, MAX_GRAPH_BYTES, MAX_VERTICES
 from autsign.sweep import CHUNK_GRAPHS, PIPE_BYTES
 from conftest import GOLDENS, count_calls
@@ -194,9 +194,10 @@ def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_fi
     # The edge parity takes one permutation_sign call per automorphism and the
     # vertex parity one per vertex-bijection block. The component parity takes
     # one more per block on a disconnected graph, none on a connected one.
-    # The cycle-space matrix is built once per automorphism: with diagnostics,
-    # the chain determinants reuse the automorphism's signed permutation, its
-    # checked cycle-space determinant and the block's component parity.
+    # The cycle-space determinant is taken once per automorphism: with
+    # diagnostics, the chain determinants reuse the automorphism's signed
+    # permutation, its checked cycle-space determinant and the block's
+    # component parity.
     names = ("loop", "double_edge", "triangle", "path4", "loop_plus_edge", "two_edges_disjoint")
     for name in names:
         g = parse_graph(GOLDENS[name].text)
@@ -208,10 +209,10 @@ def test_each_automorphism_gets_one_signed_permutation_and_two_parities(graph_fi
         expected = {
             "induced_signed_edge_perm": order,
             "permutation_sign": parities,
-            "_cycle_matrix_rows": order,
+            "_cycle_space_det": order,
         }
         path = graph_file(GOLDENS[name].text)
-        counted = (induced_signed_edge_perm, permutation_sign, _cycle_matrix_rows)
+        counted = (induced_signed_edge_perm, permutation_sign, _cycle_space_det)
         plain = [] if g.is_connected else ["--extended"]
         for flags in (plain, [*plain, "--diagnostics"]):
             calls = count_calls(counted, lambda: main(["compute", path, *flags]))
@@ -388,6 +389,35 @@ def test_compute_refuses_a_cycle_space_too_large_under_a_memory_limit(graph_file
     assert proc.stderr == (
         "error: the cycle space has rank 19701, more than 64, too large to hold\n"
     )
+
+
+def test_compute_on_a_99000_vertex_path_with_64_chords_runs_in_384_mib(graph_file):
+    # The chords all leave vertex 0 for the far end, so every cycle runs
+    # along almost the whole path. Held as (edge, coefficient) pairs, the
+    # basis ran out of this address space with a MemoryError traceback after
+    # the header; held as subtree intervals it takes O(V + E) ints.
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))
+
+    n = 99_000
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1 - i) for i in range(64)]
+    text = f"v {n}\n" + "".join(f"e {a} {b}\n" for a, b in edges)
+    proc = subprocess.run(
+        [sys.executable, "-m", "autsign", "compute", graph_file(text)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1:3] == [
+        f"vertices: {n}  edges: {n + 63}  components: 1  cycle_rank: 64",
+        "automorphisms: 1",
+    ]
+    assert len(lines) == 4 and lines[3].endswith(" agree=yes")
 
 
 def run_compute_under_a_memory_limit(path):

@@ -3,35 +3,42 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import autsign.homology
 from autsign import (
     CycleSpaceTooLargeError,
     IntMatrix,
     Multigraph,
+    SignedEdgePermutation,
     SpanningForest,
+    SweepParams,
     UnimodularityError,
     chain_determinant_check,
     det_bareiss,
     det_cofactor,
     det_sign,
     enumerate_automorphisms,
+    enumerate_multigraphs,
     fundamental_cycles,
     induced_cycle_matrix,
     induced_signed_edge_perm,
     parse_graph,
+    random_orientation,
     reference_orientation,
     spanning_forest,
+    stream_automorphisms,
 )
 from autsign.cli import main
-from autsign.homology import _bareiss, _cycle_matrix_rows
+from autsign.homology import _bareiss, _cycle_matrix_rows, _cycle_space_det, cycle_space_det_sign
 from conftest import GOLDENS, multigraphs
 from oracles import (
     boundary_matrix,
+    climbed_cycles,
     compose,
     det_permutation_sum,
     identity_automorphism,
@@ -50,10 +57,15 @@ def non_tree_edges(basis):
     return tuple(e for e, i in enumerate(basis.row_of_edge) if i >= 0)
 
 
+def cycles_of(basis):
+    """Each cycle of ``basis`` as its ``(edge, coefficient)`` pairs."""
+    return tuple(basis.cycle(i) for i in range(len(basis.head)))
+
+
 def dense_cycles(basis):
     """Each cycle of ``basis`` as a dense edge-coefficient vector."""
     vectors = []
-    for cycle in basis.cycles:
+    for cycle in cycles_of(basis):
         z = [0] * len(basis.row_of_edge)
         for e, c in cycle:
             z[e] = c
@@ -88,19 +100,19 @@ def test_cycle_goldens():
     g = parse_graph(GOLDENS["loop"].text)
     _, basis = basis_of(g)
     assert basis.row_of_edge == (0,)
-    assert basis.cycles == (((0, 1),),)
+    assert cycles_of(basis) == (((0, 1),),)
     assert dense_cycles(basis) == ((1,),)
 
     g = parse_graph(GOLDENS["triangle"].text)
     _, basis = basis_of(g)
     assert basis.row_of_edge == (-1, -1, 0)
-    assert basis.cycles == (((0, 1), (1, 1), (2, 1)),)
+    assert cycles_of(basis) == (((0, 1), (1, 1), (2, 1)),)
     assert dense_cycles(basis) == ((1, 1, 1),)
 
     g = parse_graph(GOLDENS["double_edge"].text)
     _, basis = basis_of(g)
     assert basis.row_of_edge == (-1, 0)
-    assert basis.cycles == (((0, -1), (1, 1)),)
+    assert cycles_of(basis) == (((0, -1), (1, 1)),)
     assert dense_cycles(basis) == ((-1, 1),)
 
 
@@ -117,10 +129,6 @@ def test_cycles_lie_in_boundary_kernel(g):
 
 @given(multigraphs(), st.integers(0, 2**32 - 1))
 def test_cycles_in_kernel_for_any_orientation(g, seed):
-    import random
-
-    from autsign import random_orientation
-
     o = random_orientation(g, random.Random(seed))
     basis = fundamental_cycles(g, o, spanning_forest(g))
     boundary = boundary_matrix(g, o)
@@ -133,7 +141,7 @@ def test_cycles_in_kernel_for_any_orientation(g, seed):
 def test_cycle_count_is_first_betti_number(g):
     _, basis = basis_of(g)
     expected = g.edge_count - g.vertex_count + g.components.component_count
-    assert len(basis.cycles) == expected
+    assert len(cycles_of(basis)) == expected
     assert g.cycle_rank == expected
 
 
@@ -144,8 +152,8 @@ def test_cycle_coefficient_structure(g):
     # the tree edges are the forest's parent edges, and row i is the i-th non-tree edge's
     tree = {e for e in spanning_forest(g).parent_edge if e >= 0}
     assert set(range(g.edge_count)) - set(non_tree) == tree
-    assert [basis.row_of_edge[e] for e in non_tree] == list(range(len(basis.cycles)))
-    for cycle in basis.cycles:
+    assert [basis.row_of_edge[e] for e in non_tree] == list(range(len(basis.head)))
+    for cycle in cycles_of(basis):
         edges = [e for e, _ in cycle]
         assert edges == sorted(set(edges))
         assert all(c in (-1, 1) for _, c in cycle)
@@ -161,7 +169,7 @@ def test_induced_matrix_identity(golden):
     for g in golden.values():
         o, basis = basis_of(g)
         m = induced_cycle_matrix(g, o, basis, identity_automorphism(g))
-        assert m == identity_matrix(len(basis.cycles))
+        assert m == identity_matrix(len(basis.head))
 
 
 def test_induced_matrix_loop_reversal(golden):
@@ -205,7 +213,7 @@ def test_a_cycle_space_above_the_cap_is_refused_before_it_is_built(monkeypatch):
     with pytest.raises(CycleSpaceTooLargeError, match="rank 65, more than 64"):
         fundamental_cycles(g, o, forest)
     monkeypatch.setattr(autsign.homology, "MAX_CYCLE_RANK", 65)
-    assert len(fundamental_cycles(g, o, forest).cycles) == 65
+    assert len(fundamental_cycles(g, o, forest).head) == 65
 
 
 def test_the_basis_of_a_20000_vertex_path_is_built_within_10_s():
@@ -220,7 +228,7 @@ def test_the_basis_of_a_20000_vertex_path_is_built_within_10_s():
     assert time.perf_counter() - start < 10
     assert basis.row_of_edge == (-1,) * (n - 1) + (0,)
     # the chord runs 0 -> n-1, and the path back runs against every arrow
-    assert basis.cycles == (tuple((e, -1) for e in range(n - 1)) + ((n - 1, 1),),)
+    assert cycles_of(basis) == (tuple((e, -1) for e in range(n - 1)) + ((n - 1, 1),),)
 
 
 def test_the_basis_of_a_20000_vertex_path_with_64_chords_stays_small():
@@ -242,7 +250,130 @@ def test_the_basis_of_a_20000_vertex_path_with_64_chords_stays_small():
         tracemalloc.stop()
     assert peak < 5_000_000
     assert rows == identity_matrix(64).to_rows()
-    assert [len(cycle) for cycle in basis.cycles] == [3] * 64
+    assert [len(cycle) for cycle in cycles_of(basis)] == [3] * 64
+
+
+def test_the_basis_and_a_matrix_of_a_20000_vertex_path_with_64_long_chords_stay_small():
+    # 64 chords from end to end: every cycle runs along the whole path, so
+    # the cycles' (edge, coefficient) pairs alone would take 64 x 20000 of
+    # them, 82.6 MB under tracemalloc; the subtree intervals take O(V + E) ints.
+    n = 20_000
+    g = Multigraph.from_edges(n, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)] * 64)
+    o = reference_orientation(g)
+    sep = induced_signed_edge_perm(g, o, identity_automorphism(g))
+    g.components  # the graph's own cached tables, built by any first use
+    tracemalloc.start()
+    try:
+        basis = fundamental_cycles(g, o, spanning_forest(g))
+        rows = _cycle_matrix_rows(basis, sep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    assert rows == identity_matrix(64).to_rows()
+    path_back = tuple((e, -1) for e in range(n - 1))
+    assert basis.cycle(0) == path_back + ((n - 1, 1),)
+    assert basis.cycle(63) == path_back + ((n + 62, 1),)
+
+
+CONNECTED_CAPS = SweepParams(
+    max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True, connected_only=True
+)
+
+
+def test_the_cycles_equal_the_climb_on_the_connected_caps_from_every_root():
+    graphs = 0
+    for g in enumerate_multigraphs(CONNECTED_CAPS):
+        o = reference_orientation(g)
+        for root in range(g.vertex_count):
+            forest = spanning_forest(g, root)
+            assert cycles_of(fundamental_cycles(g, o, forest)) == climbed_cycles(g, o, forest)
+        graphs += 1
+    assert graphs == 12586
+
+
+def rows_from_pairs(cycles, forest, sep):
+    """The matrix of ``sep`` read off the cycles' ``(edge, coefficient)``
+    pairs: entry (i, j) is cycle j's coefficient on the edge that maps onto
+    the i-th non-tree edge, times that edge's arrow sign."""
+    tree = set(forest.parent_edge)
+    non_tree = [e for e in range(len(sep.edge_perm)) if e not in tree]
+    rows = [[0] * len(cycles) for _ in cycles]
+    for j, cycle in enumerate(cycles):
+        for e, c in cycle:
+            if sep.edge_perm[e] in non_tree:
+                rows[non_tree.index(sep.edge_perm[e])][j] = c * sep.edge_sign[e]
+    return rows
+
+
+def random_signed_perm(rng, m):
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return SignedEdgePermutation(tuple(perm), tuple(rng.choice((-1, 1)) for _ in range(m)))
+
+
+def check_det(basis, sep):
+    """The row-by-row determinant against full Bareiss on the dense rows, and
+    cycle_space_det_sign against both: the sign when it is +-1, else
+    UnimodularityError."""
+    d = _cycle_space_det(basis, sep)
+    assert d == _bareiss(_cycle_matrix_rows(basis, sep))
+    if d in (1, -1):
+        assert cycle_space_det_sign(basis, sep) == d
+    else:
+        with pytest.raises(UnimodularityError):
+            cycle_space_det_sign(basis, sep)
+    return d
+
+
+@given(multigraphs(max_vertices=4, max_edges=5), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_the_cycles_and_rows_equal_the_climbs_for_any_orientation_and_root(g, seed):
+    rng = random.Random(seed)
+    o = random_orientation(g, rng)
+    forest = spanning_forest(g, rng.randrange(g.vertex_count))
+    basis = fundamental_cycles(g, o, forest)
+    cycles = climbed_cycles(g, o, forest)
+    assert cycles_of(basis) == cycles
+    for a in itertools.islice(stream_automorphisms(g)[1], 50):
+        sep = induced_signed_edge_perm(g, o, a)
+        assert _cycle_matrix_rows(basis, sep) == rows_from_pairs(cycles, forest, sep)
+        assert check_det(basis, sep) in (1, -1)
+    for _ in range(10):
+        sep = random_signed_perm(rng, g.edge_count)
+        assert _cycle_matrix_rows(basis, sep) == rows_from_pairs(cycles, forest, sep)
+        check_det(basis, sep)
+
+
+def test_the_determinant_equals_dense_bareiss_on_every_automorphism_of_the_connected_caps():
+    automorphisms = 0
+    for g in enumerate_multigraphs(CONNECTED_CAPS):
+        o, basis = basis_of(g)
+        for a in stream_automorphisms(g)[1]:
+            assert check_det(basis, induced_signed_edge_perm(g, o, a)) in (1, -1)
+            automorphisms += 1
+    assert automorphisms == 92465
+
+
+def test_the_determinant_equals_dense_bareiss_on_random_signed_edge_permutations():
+    # Most signed edge permutations are no automorphism, and most of their
+    # matrices are singular: two one-entry rows in one column, or tree-edge
+    # rows that eliminate to 0. Each matrix is a signed choice of rank rows
+    # of the cycles' edge-coefficient matrix, which is totally unimodular, so
+    # no other determinant occurs.
+    rng = random.Random(17)
+    dets = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        g = Multigraph.from_edges(
+            n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(4, 9))]
+        )
+        o = random_orientation(g, rng)
+        basis = fundamental_cycles(g, o, spanning_forest(g, rng.randrange(n)))
+        for _ in range(20):
+            dets[check_det(basis, random_signed_perm(rng, g.edge_count))] += 1
+    assert set(dets) == {-1, 0, 1}
+    assert dets[0] > dets[1] + dets[-1]
 
 
 @pytest.mark.parametrize(

@@ -171,7 +171,7 @@ def test_verify_graph_records_match_the_unfused_routes(g):
             * det_sign(matrix, require_unimodular=True)
             * component_permutation_sign(g, a)
         )
-        assert len(basis.cycles) == matrix.rows == g.cycle_rank
+        assert len(basis.head) == matrix.rows == g.cycle_rank
 
 
 @pytest.mark.parametrize(
