@@ -50,7 +50,8 @@ class SignedEdgePermutation:
 
 
 def permutation_sign(p: tuple[int, ...] | list[int]) -> int:
-    """+1 for even permutations, -1 for odd: (-1)**(n - #cycles)."""
+    """+1 for even permutations, -1 for odd: (-1)**(n - #cycles). Raises
+    ValueError when an image repeats."""
     seen = [False] * len(p)
     odd = False
     for i in range(len(p)):
@@ -60,6 +61,8 @@ def permutation_sign(p: tuple[int, ...] | list[int]) -> int:
         j = p[i]
         while j != i:
             # each element past the first of a cycle adds one transposition
+            if seen[j]:
+                raise ValueError(f"not a permutation: {j} is an image twice")
             seen[j] = True
             j = p[j]
             odd = not odd
@@ -67,7 +70,8 @@ def permutation_sign(p: tuple[int, ...] | list[int]) -> int:
 
 
 def cycle_notation(p: tuple[int, ...]) -> str:
-    """Cycle string of a permutation, fixed points omitted; '()' for the identity."""
+    """Cycle string of a permutation, fixed points omitted; '()' for the
+    identity. Raises ValueError when an image repeats."""
     seen = [False] * len(p)
     parts: list[str] = []
     # a cycle is first reached at its least element, so only its later
@@ -77,6 +81,8 @@ def cycle_notation(p: tuple[int, ...]) -> str:
             continue
         cyc = [i]
         while j != i:
+            if seen[j]:
+                raise ValueError(f"not a permutation: {j} is an image twice")
             cyc.append(j)
             seen[j] = True
             j = p[j]

@@ -6,7 +6,7 @@ No floating point anywhere; Python ints make every determinant exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .automorphism import Automorphism, SignedEdgePermutation, induced_signed_edge_perm
 from .multigraph import Multigraph, Orientation, SpanningForest
@@ -221,16 +221,11 @@ def _bareiss(a: list[list[int]]) -> int:
     """Exact determinant of a square list of rows by fraction-free
     elimination (Bareiss 1968), overwriting the rows; 0x0 gives 1.
 
-    Step k pivots on the first +-1 at or below row k in column k, or else on
-    the nonzero entry of least absolute value, and swaps it into row k. A
-    pivot equal to -prev (the previous pivot, 1 at the start) has its row
-    negated, so while the pivots are units, prev stays 1 and each pivot
-    equals it. Each row below is then updated to
-    ``(row * pivot - factor * row_k) // prev``, which is the identity on a
-    row whose factor is 0 when pivot == prev: such a row is left as it is,
-    so a signed permutation matrix is only searched, never rewritten. Swaps
-    and negations flip the tracked sign; every division is exact, so each
-    entry stays a minor of the matrix, up to sign.
+    Step k swaps the first row with a nonzero entry in column k, at or below
+    row k, into row k, flipping the sign, and updates the entries right of
+    column k in every row below to ``(row * pivot - factor * row_k) // prev``,
+    prev being the previous pivot (1 at the start). Every division is exact,
+    so each entry written is a minor of the matrix, up to sign.
     """
     n = len(a)
     if n == 0:
@@ -238,34 +233,20 @@ def _bareiss(a: list[list[int]]) -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        p = -1
-        least = 0
-        for i in range(k, n):
-            x = a[i][k]
-            if x == 1 or x == -1:
-                p = i
+        for p in range(k, n):
+            if a[p][k]:
                 break
-            if x and (p < 0 or abs(x) < least):
-                p, least = i, abs(x)
-        if p < 0:
+        else:
             return 0
-        row_k = a[p]
         if p != k:
-            a[p] = a[k]
-            a[k] = row_k
+            a[p], a[k] = a[k], a[p]
             sign = -sign
+        row_k = a[k]
         pivot = row_k[k]
-        if pivot == -prev:
-            row_k = a[k] = [-x for x in row_k]
-            pivot = prev
-            sign = -sign
-        rescales = pivot != prev
         for row_i in a[k + 1 :]:
             factor = row_i[k]
-            if factor or rescales:
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-                row_i[k] = 0
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
         prev = pivot
     return sign * a[n - 1][n - 1]
 
@@ -323,13 +304,9 @@ def _cycle_space_det(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
     Laplace expansion along its one-entry rows.
 
     The row of a non-tree edge e holds one entry, e's arrow sign in e's own
-    column; such rows are expanded as they are met, and two of them in one
-    column make the determinant 0. The rows of tree edges are built on the
-    columns left over and eliminated by _bareiss. The determinant is the
-    product of the one-entry values, the sign of the row-to-column pairing
-    (the tree rows, in edge order, taking the columns left over in ascending
-    order) and the tree rows' determinant. Reads only the rows' entries, in
-    exact integers.
+    column; such rows are expanded as they are met, and _expanded_det builds
+    the rows of tree edges, in edge order, on the columns left over and
+    finishes the determinant. Reads only the rows' entries, in exact integers.
     """
     row_of_edge, edge_sign = basis.row_of_edge, sep.edge_sign
     if len(row_of_edge) != len(sep.edge_perm):
@@ -348,21 +325,43 @@ def _cycle_space_det(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
         if j < 0:
             tree_edges.append(e)
             tree_rows.append(i)
-        elif row_at[j] >= 0:
-            return 0
         else:
             row_at[j] = i
             if edge_sign[e] < 0:
                 det = -det
-    if tree_edges:
+
+    def build(free: list[int]) -> list[list[int]]:
+        return [_row(basis, e, edge_sign[e], free) for e in tree_edges]
+
+    return _expanded_det(row_at, det, tree_rows, build)
+
+
+def _expanded_det(
+    row_at: list[int], det: int, rows: Sequence[int], build: Callable[..., list] | None = None
+) -> int:
+    """Finish a determinant taken by Laplace expansion along one-entry rows,
+    overwriting ``row_at``.
+
+    ``row_at[j]`` is the row expanded in column j, or -1 where column j is
+    left over, and ``det`` is the product of those rows' entries. The rows
+    left over, ``rows``, take the columns left over in ascending order, and
+    ``build(columns)`` gives their entries there; their determinant, by
+    _bareiss, joins the product. The result is that product times the sign
+    of the row-to-column pairing, or 0 when the pairing is not one to one.
+    """
+    if rows:
         free = [j for j, i in enumerate(row_at) if i < 0]
-        for j, i in zip(free, tree_rows):
+        if len(free) != len(rows):
+            return 0
+        for j, i in zip(free, rows):
             row_at[j] = i
-        det *= _bareiss([_row(basis, e, edge_sign[e], free) for e in tree_edges])
+        det *= _bareiss(build(free))
     # the pairing's parity: each swap puts one more row in its own column
     for j in range(len(row_at)):
         i = row_at[j]
         while i != j:
+            if i < 0 or row_at[i] == i:
+                return 0  # column j has no row, or row i a second column
             row_at[j], row_at[i] = row_at[i], i
             i = row_at[j]
             det = -det

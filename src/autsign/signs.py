@@ -24,6 +24,7 @@ from .homology import (
     CycleBasis,
     _bareiss,
     _cycle_matrix_rows,
+    _expanded_det,
     cycle_space_det_sign,
     fundamental_cycles,
 )
@@ -34,9 +35,10 @@ from .multigraph import Multigraph, Orientation, reference_orientation, spanning
 class DeterminantFactors:
     """Chain-level determinants backing one sign computation.
 
-    All three are full exact determinants of explicit matrices, with no
-    permutation-parity shortcuts, so they can arbitrate between the two sign
-    routes when they disagree. ``consistent`` is the identity the homological
+    All three are exact determinants read off the chain maps' entries (the
+    edge and vertex ones by Laplace expansion, sharing no code with
+    permutation_sign), so they can arbitrate between the two sign routes
+    when they disagree. ``consistent`` is the identity the homological
     route rests on:
 
         cycle_space_det * vertex_space_det == edge_space_det * component_sign
@@ -107,19 +109,19 @@ def chain_determinant_check(
 ) -> DeterminantFactors:
     """Cross-check both sign routes at the chain level, the slow honest way.
 
-    Builds the signed edge-permutation matrix and the vertex-permutation
-    matrix explicitly and runs exact elimination on them (and on the induced
-    cycle-space matrix); the caller checks ``consistent``. On connected graphs
-    component_sign is +1 and the identity reduces to
-    cycle_space_det * vertex_space_det == edge_space_det.
+    Takes the determinants of the signed edge-permutation matrix and the
+    vertex-permutation matrix, held as one entry per column, by Laplace
+    expansion along their one-entry rows, and runs exact elimination on the
+    induced cycle-space matrix, built dense; the caller checks
+    ``consistent``. On connected graphs component_sign is +1 and the
+    identity reduces to cycle_space_det * vertex_space_det == edge_space_det.
     """
     sep = induced_signed_edge_perm(g, o, a)
     cycle_space_det = _bareiss(_cycle_matrix_rows(basis, sep))
-    return _chain_determinants(g, a, sep, cycle_space_det, component_permutation_sign(g, a))
+    return _chain_determinants(a, sep, cycle_space_det, component_permutation_sign(g, a))
 
 
 def _chain_determinants(
-    g: Multigraph,
     a: Automorphism,
     sep: SignedEdgePermutation,
     cycle_space_det: int,
@@ -128,16 +130,9 @@ def _chain_determinants(
     """chain_determinant_check on the signed edge permutation ``sep`` of ``a``,
     the determinant ``cycle_space_det`` of its matrix on the cycle basis and
     the parity ``component_sign`` of its permutation of components."""
-    m, n = g.edge_count, g.vertex_count
-    edge_rows = [[0] * m for _ in range(m)]
-    for e in range(m):
-        edge_rows[sep.edge_perm[e]][e] = sep.edge_sign[e]
-    vertex_rows = [[0] * n for _ in range(n)]
-    for v in range(n):
-        vertex_rows[a.vertex_perm[v]][v] = 1
     return DeterminantFactors(
-        edge_space_det=_bareiss(edge_rows),
-        vertex_space_det=_bareiss(vertex_rows),
+        edge_space_det=_expanded_det(list(sep.edge_perm), prod(sep.edge_sign), ()),
+        vertex_space_det=_expanded_det(list(a.vertex_perm), 1, ()),
         cycle_space_det=cycle_space_det,
         component_sign=component_sign,
     )
@@ -158,10 +153,9 @@ def comparisons(
     cycle-space matrix row by row, expanding the rows of non-tree edges and
     eliminating only those of tree edges (cycle_space_det_sign). Neither
     sees the other's result. With ``diagnostics`` each record also carries
-    the factors of chain_determinant_check, taken from explicit matrices on
-    the same signed edge permutation, with the cycle-space determinant the
-    homological route has already checked to be +-1 and the block's
-    component parity.
+    the factors of chain_determinant_check on the same signed edge
+    permutation, with the cycle-space determinant the homological route has
+    already checked to be +-1 and the block's component parity.
     """
     o = reference_orientation(g)
     basis = fundamental_cycles(g, o, spanning_forest(g))
@@ -177,7 +171,7 @@ def comparisons(
         cycle_space_det = cycle_space_det_sign(basis, sep)
         hom = edge_parity * cycle_space_det * component_parity
         factors = (
-            _chain_determinants(g, a, sep, cycle_space_det, component_parity)
+            _chain_determinants(a, sep, cycle_space_det, component_parity)
             if diagnostics
             else None
         )

@@ -1,5 +1,7 @@
 import os
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,6 +54,24 @@ def count_calls(functions, run):
     finally:
         sys.setprofile(previous)
     return counts
+
+
+@contextmanager
+def returns_within(seconds):
+    """Raise TimeoutError in the body once it has run ``seconds`` seconds,
+    so that a loop that never ends fails its test instead of hanging the
+    suite."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

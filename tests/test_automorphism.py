@@ -28,7 +28,7 @@ from autsign import (
 from autsign.automorphism import _vertex_bijections, automorphism_shares
 from autsign.cli import main
 from autsign.signs import comparisons
-from conftest import GOLDENS, multigraphs
+from conftest import GOLDENS, multigraphs, returns_within
 from oracles import (
     adjacency_preserving_vertex_perms,
     brute_force_automorphisms,
@@ -510,6 +510,16 @@ def test_cycle_notation():
     assert cycle_notation((1, 0, 2)) == "(0 1)"
     assert cycle_notation((1, 0, 3, 2)) == "(0 1)(2 3)"
     assert cycle_notation((2, 0, 1)) == "(0 2 1)"
+
+
+@pytest.mark.parametrize("p", [(0, 0), (1, 1), (1, 0, 0), (0, 2, 2), (1, 2, 1, 3)])
+def test_a_map_with_a_repeated_image_is_refused(p):
+    # each of these walks into a cycle that never comes back to its start
+    with returns_within(5):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_sign(p)
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycle_notation(p)
 
 
 def test_check_automorphism_rejects_bad_maps(golden):

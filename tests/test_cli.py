@@ -391,11 +391,9 @@ def test_compute_refuses_a_cycle_space_too_large_under_a_memory_limit(graph_file
     )
 
 
-def test_compute_on_a_99000_vertex_path_with_64_chords_runs_in_384_mib(graph_file):
-    # The chords all leave vertex 0 for the far end, so every cycle runs
-    # along almost the whole path. Held as (edge, coefficient) pairs, the
-    # basis ran out of this address space with a MemoryError traceback after
-    # the header; held as subtree intervals it takes O(V + E) ints.
+def compute_on_a_99000_vertex_path_with_64_chords_in_384_mib(graph_file, *options):
+    """`compute` on a 99,000-vertex path with 64 chords from vertex 0 to the
+    far end, under a 384 MiB address space: its one output line."""
     import resource
 
     def limit_address_space():
@@ -405,7 +403,7 @@ def test_compute_on_a_99000_vertex_path_with_64_chords_runs_in_384_mib(graph_fil
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1 - i) for i in range(64)]
     text = f"v {n}\n" + "".join(f"e {a} {b}\n" for a, b in edges)
     proc = subprocess.run(
-        [sys.executable, "-m", "autsign", "compute", graph_file(text)],
+        [sys.executable, "-m", "autsign", "compute", *options, graph_file(text)],
         capture_output=True,
         text=True,
         preexec_fn=limit_address_space,
@@ -417,7 +415,27 @@ def test_compute_on_a_99000_vertex_path_with_64_chords_runs_in_384_mib(graph_fil
         f"vertices: {n}  edges: {n + 63}  components: 1  cycle_rank: 64",
         "automorphisms: 1",
     ]
-    assert len(lines) == 4 and lines[3].endswith(" agree=yes")
+    assert len(lines) == 4
+    return lines[3]
+
+
+def test_compute_on_a_99000_vertex_path_with_64_chords_runs_in_384_mib(graph_file):
+    # The chords all leave vertex 0 for the far end, so every cycle runs
+    # along almost the whole path. Held as (edge, coefficient) pairs, the
+    # basis ran out of this address space with a MemoryError traceback after
+    # the header; held as subtree intervals it takes O(V + E) ints.
+    line = compute_on_a_99000_vertex_path_with_64_chords_in_384_mib(graph_file)
+    assert line.endswith(" agree=yes")
+
+
+def test_compute_diagnostics_on_a_99000_vertex_path_with_64_chords_runs_in_384_mib(graph_file):
+    # Built as dense E x E and V x V matrices, the edge and vertex factors
+    # ran out of this address space with a MemoryError traceback; held as
+    # one entry per column they take O(V + E) ints.
+    line = compute_on_a_99000_vertex_path_with_64_chords_in_384_mib(graph_file, "--diagnostics")
+    assert line.endswith(
+        " agree=yes det_edges=+1 det_vertices=+1 det_cycles=+1 comp_sign=+1"
+    )
 
 
 def run_compute_under_a_memory_limit(path):

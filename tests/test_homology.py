@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import autsign.homology
 from autsign import (
+    Automorphism,
     CycleSpaceTooLargeError,
     IntMatrix,
     Multigraph,
@@ -25,6 +27,7 @@ from autsign import (
     enumerate_automorphisms,
     enumerate_multigraphs,
     fundamental_cycles,
+    homological_sign,
     induced_cycle_matrix,
     induced_signed_edge_perm,
     parse_graph,
@@ -34,8 +37,14 @@ from autsign import (
     stream_automorphisms,
 )
 from autsign.cli import main
-from autsign.homology import _bareiss, _cycle_matrix_rows, _cycle_space_det, cycle_space_det_sign
-from conftest import GOLDENS, multigraphs
+from autsign.homology import (
+    _bareiss,
+    _cycle_matrix_rows,
+    _cycle_space_det,
+    _expanded_det,
+    cycle_space_det_sign,
+)
+from conftest import GOLDENS, multigraphs, returns_within
 from oracles import (
     boundary_matrix,
     climbed_cycles,
@@ -357,10 +366,9 @@ def test_the_determinant_equals_dense_bareiss_on_every_automorphism_of_the_conne
 
 def test_the_determinant_equals_dense_bareiss_on_random_signed_edge_permutations():
     # Most signed edge permutations are no automorphism, and most of their
-    # matrices are singular: two one-entry rows in one column, or tree-edge
-    # rows that eliminate to 0. Each matrix is a signed choice of rank rows
-    # of the cycles' edge-coefficient matrix, which is totally unimodular, so
-    # no other determinant occurs.
+    # matrices are singular: their tree-edge rows eliminate to 0. Each matrix
+    # is a signed choice of rank rows of the cycles' edge-coefficient matrix,
+    # which is totally unimodular, so no other determinant occurs.
     rng = random.Random(17)
     dets = Counter()
     for _ in range(300):
@@ -374,6 +382,57 @@ def test_the_determinant_equals_dense_bareiss_on_random_signed_edge_permutations
             dets[check_det(basis, random_signed_perm(rng, g.edge_count))] += 1
     assert set(dets) == {-1, 0, 1}
     assert dets[0] > dets[1] + dets[-1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["v 2\ne 0 1\ne 0 1\ne 0 0\n", "v 3\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"],
+    ids=["double_edge_and_loop", "triangle_and_loop"],
+)
+def test_the_determinant_of_every_signed_edge_map_is_dense_bareiss_or_0(text):
+    # A map that sends one edge onto each non-tree edge gives the dense
+    # matrix. Any other pairs a row with two columns or leaves a column with
+    # none, and gives 0 without looping.
+    g = parse_graph(text)
+    o, basis = basis_of(g)
+    m = g.edge_count
+    non_tree = list(non_tree_edges(basis))
+    with returns_within(10):
+        for perm in itertools.product(range(m), repeat=m):
+            one_each = sorted(f for f in perm if f in non_tree) == non_tree
+            for signs in itertools.product((1, -1), repeat=m):
+                sep = SignedEdgePermutation(perm, signs)
+                dense = _bareiss(_cycle_matrix_rows(basis, sep))
+                assert _cycle_space_det(basis, sep) == (dense if one_each else 0)
+
+
+def test_a_map_of_two_loops_onto_one_fails_fast():
+    # Not an automorphism: both loops go to loop 0, so the dense cycle
+    # matrix has a zero row, and the edge map repeats an image.
+    g = parse_graph("v 1\ne 0 0\ne 0 0\n")
+    o, basis = basis_of(g)
+    a = Automorphism((0, 1, 0, 1), (0,))
+    sep = induced_signed_edge_perm(g, o, a)
+    with returns_within(5):
+        assert _bareiss(_cycle_matrix_rows(basis, sep)) == 0
+        with pytest.raises(UnimodularityError):
+            cycle_space_det_sign(basis, sep)
+        with pytest.raises(ValueError, match="not a permutation"):
+            homological_sign(g, o, basis, a)
+
+
+def test_the_expanded_determinant_of_one_entry_columns_is_dense_bareiss():
+    # Column j holds s[j] in row p[j] and nothing else, as the edge and
+    # vertex matrices of chain_determinant_check do; a map p that is not a
+    # permutation leaves a row of zeros.
+    with returns_within(10):
+        for n in range(5):
+            for p in itertools.product(range(n), repeat=n):
+                for s in itertools.product((1, -1), repeat=n):
+                    rows = [[0] * n for _ in range(n)]
+                    for j in range(n):
+                        rows[p[j]][j] = s[j]
+                    assert _expanded_det(list(p), math.prod(s), ()) == _bareiss(rows)
 
 
 @pytest.mark.parametrize(
@@ -528,47 +587,30 @@ def signed_permutation_rows(rng, n):
     return rows
 
 
-class WriteCountingRow(list):
-    """A row that counts the entries written into it."""
-
-    writes = 0
-
-    def __setitem__(self, key, value):
-        WriteCountingRow.writes += 1
-        super().__setitem__(key, value)
-
-
-def test_det_of_random_signed_permutations_up_to_8x8_rewrites_no_row():
-    # A unit pivot equal to prev leaves every zero-factor row as it is, and
-    # every row of a signed permutation matrix below the pivot has factor 0,
-    # so no entry is written, whichever sign the pivots have.
+def test_det_of_random_signed_permutations_up_to_8x8():
     rng = random.Random(2024)
     pivots = set()
     for n in range(1, 9):
         for _ in range(25):
             rows = signed_permutation_rows(rng, n)
             pivots.add(next(r[0] for r in rows if r[0]))
-            d = assert_det(rows)
-            assert d in (1, -1)
-            WriteCountingRow.writes = 0
-            assert _bareiss([WriteCountingRow(r) for r in rows]) == d
-            assert WriteCountingRow.writes == 0
+            assert assert_det(rows) in (1, -1)
     assert pivots == {1, -1}
 
 
-def test_det_negates_a_pivot_row_equal_to_minus_prev():
+def test_det_with_negative_pivots():
     assert_det([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], -1)
     assert_det([[0, -1, 0], [-1, 0, 0], [0, 0, 1]], -1)
     assert_det([[-1, 2, 3], [0, 1, 4], [5, 6, -1]])
-    # after a pivot of 2, the next pivot is -2 == -prev, a non-unit
+    # after a pivot of 2, the next pivot is -2, the previous one negated
     assert_det([[2, 0, 0], [0, -1, 1], [0, 3, 1]], -8)
 
 
-def test_det_pivots_on_a_unit_below_a_larger_entry():
-    # column 0 holds 2 above 1, so the pivot is the 1 in row 1, not the 2
+def test_det_with_a_non_unit_first_pivot():
+    # the pivot is the 2 in row 0, with a 1 below it
     assert_det([[2, 1, 0], [1, 0, 1], [0, 1, 1]], -3)
     assert_det([[3, 1, 2, 0], [-2, 5, 1, 1], [-1, 0, 2, 3], [4, 1, 0, 2]])
-    # no unit in column 0: the pivot is the entry of least absolute value, -2
+    # no unit in column 0
     assert_det([[3, 1, 0], [-2, 1, 1], [5, 0, 2]])
     assert_det([[4, 2, 1], [6, 3, 0], [-2, 5, 7]])
 
@@ -615,13 +657,8 @@ LOOP4 = "v 1\n" + "e 0 0\n" * 4
 PARALLEL5 = "v 2\n" + "e 0 1\n" * 5
 
 
-@pytest.mark.parametrize("text, order", [(LOOP4, 384), (PARALLEL5, 240)],
-                         ids=["loop4", "parallel5"])
-def test_every_chain_determinant_matches_the_oracles(text, order):
-    g = parse_graph(text)
-    o, basis = basis_of(g)
-    auts = enumerate_automorphisms(g)
-    assert len(auts) == order
+def assert_chain_determinants_match_the_oracles(g, o, auts):
+    basis = fundamental_cycles(g, o, spanning_forest(g))
     for a in auts:
         factors = chain_determinant_check(g, o, basis, a)
         edge_rows, vertex_rows, cycle_rows = chain_matrices(g, o, basis, a)
@@ -629,6 +666,25 @@ def test_every_chain_determinant_matches_the_oracles(text, order):
         assert factors.vertex_space_det == assert_det(vertex_rows)
         assert factors.cycle_space_det == assert_det(cycle_rows)
         assert factors.consistent
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [(LOOP4, 384), (PARALLEL5, 240), *((t, len(signs)) for t, signs in GOLDENS.values())],
+    ids=["loop4", "parallel5", *GOLDENS],
+)
+def test_every_chain_determinant_matches_the_oracles(text, order):
+    g = parse_graph(text)
+    auts = enumerate_automorphisms(g)
+    assert len(auts) == order
+    assert_chain_determinants_match_the_oracles(g, reference_orientation(g), auts)
+
+
+@given(multigraphs(max_vertices=4, max_edges=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_every_chain_determinant_matches_the_oracles_on_random_multigraphs(g, seed):
+    o = random_orientation(g, random.Random(seed))
+    assert_chain_determinants_match_the_oracles(g, o, enumerate_automorphisms(g))
 
 
 @pytest.mark.parametrize(
