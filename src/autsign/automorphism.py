@@ -11,15 +11,14 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .multigraph import Multigraph, Orientation
 
-# The largest group stream_automorphisms hands out. What is held is the vertex
-# bijections, n bytes each up to 256 vertices, and the one lift being built,
-# so the cap bounds time. Reaching it on 12 isolated vertices (12!
-# automorphisms) takes about 3 s and 22 MB on a 2-vCPU VM, well under a 1 GiB
-# address-space limit. Every pinned group is far below it (the largest, one
+# The largest group that stream_automorphisms hands out and has_odd_automorphism
+# searches. The bijection table takes n bytes a row up to 256 vertices, so the
+# cap bounds time: reaching it on 12 isolated vertices takes about 3 s and
+# 22 MB on a 2-vCPU VM. Every pinned group is far below it (the largest, one
 # vertex with 6 loops, has 46080 elements).
 MAX_AUTOMORPHISMS = 500_000
 
@@ -49,29 +48,32 @@ class SignedEdgePermutation:
     edge_sign: tuple[int, ...]
 
 
-def permutation_sign(p: tuple[int, ...] | list[int]) -> int:
+def permutation_sign(p: Sequence[int]) -> int:
     """+1 for even permutations, -1 for odd: (-1)**(n - #cycles). Raises
-    ValueError when an image repeats."""
+    ValueError when an image repeats or is outside range(len(p))."""
     seen = [False] * len(p)
     odd = False
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            # each element past the first of a cycle adds one transposition
-            if seen[j]:
-                raise ValueError(f"not a permutation: {j} is an image twice")
-            seen[j] = True
-            j = p[j]
-            odd = not odd
+    try:
+        for i in range(len(p)):
+            if seen[i]:
+                continue
+            seen[i] = True
+            j = p[i]
+            while j != i:
+                # each element past the first of a cycle adds one transposition
+                if j < 0 or seen[j]:
+                    raise IndexError  # as seen[j] does for an image past the end
+                seen[j] = True
+                j = p[j]
+                odd = not odd
+    except IndexError:
+        raise ValueError(f"not a permutation: the image {j} repeats or is out of range") from None
     return -1 if odd else 1
 
 
 def cycle_notation(p: tuple[int, ...]) -> str:
     """Cycle string of a permutation, fixed points omitted; '()' for the
-    identity. Raises ValueError when an image repeats."""
+    identity. Raises ValueError as permutation_sign does."""
     seen = [False] * len(p)
     parts: list[str] = []
     # a cycle is first reached at its least element, so only its later
@@ -81,8 +83,8 @@ def cycle_notation(p: tuple[int, ...]) -> str:
             continue
         cyc = [i]
         while j != i:
-            if seen[j]:
-                raise ValueError(f"not a permutation: {j} is an image twice")
+            if not 0 <= j < len(p) or seen[j]:
+                raise ValueError(f"not a permutation: the image {j} repeats or is out of range")
             cyc.append(j)
             seen[j] = True
             j = p[j]
@@ -152,8 +154,11 @@ def _lifts(
                 taken[hep[2 * e - 2] >> 1] = False
 
 
-def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
-    """Multiplicity-preserving vertex bijections, in lexicographic order.
+def _vertex_bijections(g: Multigraph) -> tuple[array, int, int]:
+    """The bijection table ``(table, bijections, block)``: the b-th vertex
+    bijection that keeps multiplicities, in lexicographic order, is
+    ``table[b * n:(b + 1) * n]``, one byte per image up to 256 vertices, with
+    ``block`` lifts. Raises GroupTooLargeError once the group passes the cap.
 
     Backtracks over the images of vertices 0, 1, ... in turn. Vertex v may
     go to a free vertex w of its (degree, loop count) colour that has v's
@@ -164,7 +169,17 @@ def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
     ascending order, and its whole colour cell only when it has no earlier
     neighbour.
     """
+    # A class of k parallel edges is matched in k! ways and each loop may
+    # also flip, so every vertex bijection has this many lifts. The identity
+    # is one of them, so a block above the cap puts the group above it.
+    block = 1
+    for (a, b), k in g.edge_multiplicities.items():
+        block *= math.factorial(k) * (2**k if a == b else 1)
+    if block > MAX_AUTOMORPHISMS:
+        raise _too_large()
     n = g.vertex_count
+    table = array("B" if n <= 256 else "I")
+    bijections = 0
     colours: dict[tuple[int, int], int] = {}
     colour = [colours.setdefault((g.degree(v), g.loop_count(v)), len(colours)) for v in range(n)]
     cells: list[list[int]] = [[] for _ in colours]
@@ -185,7 +200,10 @@ def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
     v = 0
     while v >= 0:
         if v == n:
-            yield tuple(image)
+            if (bijections + 1) * block > MAX_AUTOMORPHISMS:
+                raise _too_large()
+            table.extend(image)
+            bijections += 1
             v -= 1
             continue
         colour_v, back_v = colour[v], back[v]
@@ -211,6 +229,7 @@ def _vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
             break
         else:
             v -= 1
+    return table, bijections, block
 
 
 def automorphism_shares(
@@ -221,33 +240,15 @@ def automorphism_shares(
     ``share(owns)`` yields, in the order of stream_automorphisms, the
     elements at the stream indices i with ``owns(i)``, and builds no other.
 
-    Each multiplicity-preserving vertex bijection has a block of lifts, all
-    blocks of one size. The bijections are collected here, in lexicographic
-    order, so GroupTooLargeError is raised before any automorphism is built.
-    A share then walks the lifts of each block in which it owns an index,
+    Each row of the bijection table (_vertex_bijections, which refuses a
+    group above the cap before any automorphism is built) heads a block of
+    lifts. A share walks the lifts of each block in which it owns an index,
     from the block's start and in order, up to its last owned index there; it
     passes over the lifts of other indices without building them. The
     automorphisms of a block share one vertex_perm tuple.
     """
-    # A class of k parallel edges is matched in k! ways and each loop may
-    # also flip, so every vertex bijection has this many lifts. The identity
-    # is one of them, so a block above the cap puts the group above it.
-    block = 1
-    for (a, b), k in g.edge_multiplicities.items():
-        block *= math.factorial(k) * (2**k if a == b else 1)
-    if block > MAX_AUTOMORPHISMS:
-        raise _too_large()
-    most = MAX_AUTOMORPHISMS // block
-    # bijection b is table[b * n:(b + 1) * n], one byte per image up to 256
-    # vertices
+    table, bijections, block = _vertex_bijections(g)
     n = g.vertex_count
-    table = array("B" if n <= 256 else "I")
-    bijections = 0
-    for vperm in _vertex_bijections(g):
-        if bijections == most:
-            raise _too_large()
-        table.extend(vperm)
-        bijections += 1
     ends: dict[tuple[int, int], list[int]] = {}
     for h, v in enumerate(g.endpoint):
         ends.setdefault((v, g.endpoint[h ^ 1]), []).append(h)

@@ -50,12 +50,7 @@ from .signs import (
 from .sweep import SweepParams, census_orientable, ordered_map, sweep_verify
 
 
-def _fmt_sign(s: int) -> str:
-    return f"{s:+d}"
-
-
-# The text of a sign, and of an arrow kept (+1) or reversed (-1), for the
-# compute lines: table lookups, cheaper per line than formatting.
+# Texts of a sign (each one printed is +-1) and of an arrow, by lookup per line.
 _SIGN_TEXT = {1: "+1", -1: "-1"}
 _ARROW_TEXT = {1: "+", -1: "-"}
 
@@ -74,10 +69,10 @@ def _compute_line(i: int, vperm_cycles: str, r: SignComparison) -> str:
     if r.factors is not None:
         f = r.factors
         line += (
-            f" det_edges={_fmt_sign(f.edge_space_det)}"
-            f" det_vertices={_fmt_sign(f.vertex_space_det)}"
-            f" det_cycles={_fmt_sign(f.cycle_space_det)}"
-            f" comp_sign={_fmt_sign(f.component_sign)}"
+            f" det_edges={_SIGN_TEXT[f.edge_space_det]}"
+            f" det_vertices={_SIGN_TEXT[f.vertex_space_det]}"
+            f" det_cycles={_SIGN_TEXT[f.cycle_space_det]}"
+            f" comp_sign={_SIGN_TEXT[f.component_sign]}"
         )
     return line + "\n"
 
@@ -167,8 +162,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for f in report.failures:
             print(
                 f"failure: graph={f.graph!r} vperm={f.vertex_perm}"
-                f" hep={f.half_edge_perm} hom={_fmt_sign(f.homological)}"
-                f" comb={_fmt_sign(f.combinatorial)}"
+                f" hep={f.half_edge_perm} hom={_SIGN_TEXT[f.homological]}"
+                f" comb={_SIGN_TEXT[f.combinatorial]}"
             )
     print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1

@@ -17,10 +17,9 @@ from typing import Iterable, Iterator
 
 # The largest vertex count parse_graph accepts; the cap turns absurd
 # declarations into a clear error before any per-vertex table is allocated.
-# The automorphism search places vertices in index order and draws each
-# one's images from the neighbours of a placed neighbour's image, so a path
-# numbered along itself is searched in linear time, but one whose labels are
-# shuffled still backtracks for a time exponential in its length.
+# The automorphism search places vertices in index order, so a path numbered
+# along itself is searched in linear time, but a path or cycle whose labels
+# are shuffled backtracks for a time exponential in its length.
 MAX_VERTICES = 100_000
 # The largest edge count parse_graph accepts. Every listed automorphism holds
 # a half-edge permutation with two entries per edge (1.6 MB at the cap).

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .automorphism import (
     Automorphism,
     SignedEdgePermutation,
+    _vertex_bijections,
     induced_signed_edge_perm,
     permutation_sign,
     stream_automorphisms,
@@ -189,23 +190,27 @@ def verify_graph(g: Multigraph, diagnostics: bool = False) -> list[SignCompariso
 
 
 def has_odd_automorphism(g: Multigraph) -> bool:
-    """True iff some automorphism has sign -1.
+    """True iff some automorphism has sign -1. On a loopless graph it raises
+    GroupTooLargeError exactly where stream_automorphisms does.
 
     A graph with a loop has one: flipping that loop alone fixes every vertex
-    and every edge and reverses one arrow. Otherwise the combinatorial route
-    is used alone (no homology needed); the agreement of the two routes is
-    what verify_graph certifies. The group is streamed one lift at a time,
-    so no lift is built past the first odd automorphism, and the vertex
-    parity is taken once per block, as in comparisons.
+    and every edge and reverses one arrow. On a loopless graph each lift of
+    a row phi of the bijection table has sign sgn(phi) * (-1)**r(phi), with
+    r(phi) the sum of m_ab over the pairs a < b with phi(a) > phi(b), so no
+    lift is built. Proof: a lift sends the m_ab edges between a and b onto
+    those between phi(a) and phi(b). If p of the first class's arrows leave
+    a and p' of the second's leave phi(a), a matching that sends x of the
+    first kind onto the second reverses (p - x) + (p' - x) arrows. Count p
+    from each class's smaller end: as phi permutes the classes, the p' sum
+    to the p mod 2 but for m_ab on each class whose ends phi reverses.
     """
     if any(a == b for a, b in g.edge_multiplicities):
         return True
-    o = reference_orientation(g)
-    vperm = None
-    for a in stream_automorphisms(g)[1]:
-        if a.vertex_perm is not vperm:
-            vperm = a.vertex_perm
-            vertex_parity = permutation_sign(vperm)
-        if prod(induced_signed_edge_perm(g, o, a).edge_sign, start=vertex_parity) == -1:
+    table, bijections, _ = _vertex_bijections(g)
+    n = g.vertex_count
+    for row in range(bijections):
+        phi = table[row * n:(row + 1) * n]
+        r = sum(m for (a, b), m in g.edge_multiplicities.items() if phi[a] > phi[b])
+        if permutation_sign(phi) * (-1) ** r == -1:
             return True
     return False

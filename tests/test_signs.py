@@ -1,10 +1,13 @@
+import math
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import autsign.automorphism
 from autsign import (
+    GroupTooLargeError,
     Multigraph,
     SweepParams,
     chain_determinant_check,
@@ -26,6 +29,7 @@ from autsign import (
     stream_automorphisms,
     verify_graph,
 )
+from autsign.automorphism import _lifts
 from conftest import GOLDENS, count_calls, multigraphs
 from oracles import compose, invert
 
@@ -206,13 +210,59 @@ def test_path5_flip_is_even():
 
 
 def test_the_census_takes_one_vertex_parity_per_block():
-    # 6 automorphisms, all over the identity bijection, and none odd: each
-    # lift gets its own arrow signs, the block one vertex parity
+    # 6 automorphisms, all over the identity bijection, and none odd: the
+    # census reads the one row of the bijection table and builds no lift
     g = parse_graph("v 3\ne 0 1\ne 0 1\ne 0 1\ne 1 2\n")
     calls = count_calls(
-        (permutation_sign, induced_signed_edge_perm), lambda: has_odd_automorphism(g)
+        (permutation_sign, induced_signed_edge_perm, _lifts), lambda: has_odd_automorphism(g)
     )
-    assert calls == {"permutation_sign": 1, "induced_signed_edge_perm": 6}
+    assert calls == {"permutation_sign": 1, "induced_signed_edge_perm": 0, "_lifts": 0}
+
+
+def reversed_multiplicity(g, vertex_perm):
+    """r: the edge multiplicity summed over the vertex pairs a < b whose
+    images are in reverse order."""
+    return sum(m for (a, b), m in g.edge_multiplicities.items() if vertex_perm[a] > vertex_perm[b])
+
+
+def test_every_loopless_sign_is_the_vertex_parity_times_the_reversed_multiplicity():
+    # the rule the census reads: on a loopless graph an automorphism's sign
+    # depends on its vertex bijection alone, whatever the orientation
+    params = SweepParams(max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True)
+    rng = random.Random(20)
+    graphs = automorphisms = 0
+    for g in enumerate_multigraphs(params):
+        if any(a == b for a, b in g.edges()):
+            continue
+        o = random_orientation(g, rng)
+        for a in stream_automorphisms(g)[1]:
+            vertex_parity = permutation_sign(a.vertex_perm)
+            sign = math.prod(induced_signed_edge_perm(g, o, a).edge_sign, start=vertex_parity)
+            assert sign == vertex_parity * (-1) ** reversed_multiplicity(g, a.vertex_perm), g
+            automorphisms += 1
+        graphs += 1
+    assert (graphs, automorphisms) == (60386 - 52223, 74589)
+
+
+def test_the_census_refuses_the_groups_the_stream_refuses(monkeypatch):
+    # with the cap at 5, a triple edge puts one block over it, and the
+    # 6 bijections of the star K_{1,3} put a set of bijections over it
+    monkeypatch.setattr(autsign.automorphism, "MAX_AUTOMORPHISMS", 5)
+    params = SweepParams(max_vertices=4, max_edges=4, max_multiplicity=3)
+    refused = Counter()
+    for g in enumerate_multigraphs(params):
+        try:
+            stream_automorphisms(g)
+        except GroupTooLargeError:
+            with pytest.raises(GroupTooLargeError):
+                has_odd_automorphism(g)
+            block = math.prod(map(math.factorial, g.edge_multiplicities.values()))
+            refused["block" if block > 5 else "bijections"] += 1
+        else:
+            has_odd_automorphism(g)
+    assert refused["block"] > 0 and refused["bijections"] > 0
+    # a looped graph is odd by the loop rule, without a search
+    assert has_odd_automorphism(parse_graph("v 1\n" + "e 0 0\n" * 3)) is True
 
 
 def test_sign_homomorphism_property(golden):
