@@ -186,8 +186,8 @@ def test_has_odd_automorphism_goldens(name, expected):
 
 
 def test_the_loop_rule_matches_the_exhaustive_stream_on_the_full_caps():
-    # A graph with a loop is odd without a search; on the others the rule
-    # and the stream are one computation.
+    # A graph with a loop is odd without a search; on the others the census
+    # reads each bijection's sign off its row, where the stream builds lifts.
     params = SweepParams(max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True)
     graphs = looped = 0
     for g in enumerate_multigraphs(params):
