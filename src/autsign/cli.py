@@ -5,6 +5,9 @@ verify and census run on the sweep module's ordered map: compute parses the
 graph, collects its vertex bijections and prints the header in this process,
 and the workers format the lines of their chunks of the group, which the
 parent writes one chunk at a time, in automorphism order.
+
+An input the program refuses raises where it is found; ``main`` alone turns
+the exception into ``error: ...`` on stderr and exit status 2.
 """
 from __future__ import annotations
 
@@ -17,13 +20,8 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Iterator
 
-from .automorphism import (
-    GroupTooLargeError,
-    automorphism_shares,
-    cycle_notation,
-)
+from .automorphism import automorphism_shares, cycle_notation
 from .homology import (
-    CycleSpaceTooLargeError,
     IntMatrix,
     check_cycle_rank,
     det_bareiss,
@@ -32,7 +30,6 @@ from .homology import (
 )
 from .multigraph import (
     MAX_GRAPH_BYTES,
-    GraphFormatError,
     parse_graph,
     random_orientation,
     reference_orientation,
@@ -78,26 +75,18 @@ def _compute_line(i: int, vperm_cycles: str, r: SignComparison) -> str:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        with open(args.graph_file, "rb") as f:
-            data = f.read(MAX_GRAPH_BYTES + 1)
-        if len(data) > MAX_GRAPH_BYTES:
-            print(
-                f"error: {args.graph_file} is longer than the limit of {MAX_GRAPH_BYTES} bytes",
-                file=sys.stderr,
-            )
-            return 2
-        g = parse_graph(data.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, GraphFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not g.is_connected and not args.extended:
-        print(
-            "error: graph is disconnected; rerun with --extended to include "
-            "the component-permutation sign",
-            file=sys.stderr,
+    with open(args.graph_file, "rb") as f:
+        data = f.read(MAX_GRAPH_BYTES + 1)
+    if len(data) > MAX_GRAPH_BYTES:
+        raise ValueError(
+            f"{args.graph_file} is longer than the limit of {MAX_GRAPH_BYTES} bytes"
         )
-        return 2
+    g = parse_graph(data.decode("utf-8"))
+    if not g.is_connected and not args.extended:
+        raise ValueError(
+            "graph is disconnected; rerun with --extended to include "
+            "the component-permutation sign"
+        )
     check_cycle_rank(g)
     order, share = automorphism_shares(g)
     print(f"graph: {serialize_compact(g)}")
@@ -124,35 +113,23 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _params_from_args(args: argparse.Namespace) -> SweepParams | None:
-    """The sweep caps, or None after reporting a cap out of range."""
-    try:
-        return SweepParams(
-            max_vertices=args.max_vertices,
-            max_edges=args.max_edges,
-            max_multiplicity=args.max_multiplicity,
-            allow_loops=args.loops,
-            connected_only=args.connected_only,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _params_from_args(args: argparse.Namespace) -> SweepParams:
+    """The sweep caps; a cap out of range raises ValueError."""
+    return SweepParams(
+        max_vertices=args.max_vertices,
+        max_edges=args.max_edges,
+        max_multiplicity=args.max_multiplicity,
+        allow_loops=args.loops,
+        connected_only=args.connected_only,
+    )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    if params is None:
-        return 2
     report = sweep_verify(params)
     if args.json:
-        doc = {
-            "params": asdict(params),
-            "graphs_checked": report.graphs_checked,
-            "automorphisms_checked": report.automorphisms_checked,
-            "odd_graph_count": report.odd_graph_count,
-            "failures": [asdict(f) for f in report.failures],
-            "ok": report.ok,
-        }
+        doc = asdict(report) | {"params": asdict(params), "ok": report.ok}
+        del doc["elapsed_seconds"]
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"graphs_checked: {report.graphs_checked}")
@@ -171,8 +148,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    if params is None:
-        return 2
     total = odd = 0
     for text, is_odd in census_orientable(params):
         print(f"{text}\t{'odd' if is_odd else 'even'}")
@@ -304,15 +279,27 @@ def main(argv: list[str] | None = None) -> int:
         # Flushed here, so that a reader gone from stdout is met in this try.
         sys.stdout.flush()
         return status
-    except (GroupTooLargeError, CycleSpaceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
-        # The reader closed stdout (as `| head` does). Python flushes stdout
-        # again at exit, so point it at devnull, as the Python docs' note on
-        # SIGPIPE does, and exit 1 as Python does on EPIPE.
+        # The reader closed stdout (as `| head` does): exit 1, as Python does
+        # on EPIPE.
+        status = 1
+    except (OSError, ValueError) as exc:
+        # The one refusal path: a file that cannot be read is an OSError, and
+        # every other refused input a ValueError. A later OSError (a failed
+        # fork, a full disk under stdout) is reported the same way, and so is
+        # a ValueError from one of the program's own consistency checks.
+        # UnimodularityError and a dead worker's RuntimeError are neither,
+        # and keep their traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # A failed flush keeps its bytes, and Python flushes stdout again at
+        # exit; point stdout at devnull, as the Python docs' note on SIGPIPE
+        # does, so that nothing more is printed.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from . import automorphism
 from .multigraph import Multigraph, serialize_compact
-from .signs import has_odd_automorphism, verify_graph
+from .signs import comparisons, has_odd_automorphism
 
 
 @dataclass(frozen=True)
@@ -310,18 +310,22 @@ def ordered_map(
 
 def _verify_one(g: Multigraph) -> tuple[int, bool, list[TheoremFailure]]:
     """The automorphism count of ``g``, whether one is odd, and every
-    disagreement."""
-    results = verify_graph(g)
-    failures = [
-        TheoremFailure(serialize_compact(g), r.automorphism.vertex_perm,
-                       r.automorphism.half_edge_perm, r.homological, r.combinatorial)
-        for r in results if not r.agree
-    ]
-    return len(results), any(r.combinatorial == -1 for r in results), failures
+    disagreement; each record is dropped once counted, so a worker holds one
+    at a time, not the group's."""
+    count, odd, failures = 0, False, []
+    for r in comparisons(g, automorphism.stream_automorphisms(g)[1]):
+        count += 1
+        odd = odd or r.combinatorial == -1
+        if not r.agree:
+            failures.append(TheoremFailure(
+                serialize_compact(g), r.automorphism.vertex_perm,
+                r.automorphism.half_edge_perm, r.homological, r.combinatorial))
+    return count, odd, failures
 
 
 def sweep_verify(params: SweepParams) -> VerificationReport:
-    """Run verify_graph over the whole enumeration and aggregate.
+    """Check both signs on every automorphism of the whole enumeration and
+    aggregate.
 
     Disagreements are collected verbatim, never raised: a failing sweep should
     show all its counterexamples. An exception raised while verifying a graph

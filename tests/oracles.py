@@ -5,13 +5,16 @@ come from filtering all half-edge permutations, determinants from the
 permutation-sum formula, parities from inversion counting, spanning forests
 from rescanning every edge per tree edge, fundamental cycles from climbing
 the forest's parent edges, vertex bijections from comparing each candidate
-image with every placed vertex. The group
+image with every placed vertex, isomorphism-class counts from Burnside's
+lemma over the symmetric group. The group
 operations, the boundary matrix and the matrix product serve only the tests'
 algebraic laws, so they live here too.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 from typing import Iterator
 
 from autsign import Automorphism, IntMatrix, Multigraph, Orientation, SpanningForest
@@ -244,3 +247,50 @@ def scan_vertex_bijections(g: Multigraph) -> Iterator[tuple[int, ...]]:
             break
         else:
             v -= 1
+
+
+def burnside_class_counts(
+    n: int, max_edges: int, max_multiplicity: int, loops: bool, signed: bool = False
+) -> list[Fraction]:
+    """Per edge count e = 0..max_edges, the isomorphism classes of multigraphs
+    on n vertices with e edges and multiplicities up to ``max_multiplicity``,
+    by Burnside's lemma: the graphs each phi in S_n fixes, averaged over S_n.
+
+    A graph phi fixes has one multiplicity m on each orbit O of phi on the
+    vertex-pair slots, so phi contributes the product over its orbits of
+    sum_{m=0..K} x^(m |O|). With ``signed`` (loopless only) each fixed graph
+    counts with the sign sgn(phi) (-1)^r(phi) that every lift of phi has,
+    r(phi) summing the multiplicities of the pairs a < b with phi(a) >
+    phi(b); m on O adds m k_O to r, with k_O the pairs of O that phi
+    reverses. That sign is a character of each graph's group of vertex
+    bijections, so its sum over the group is the group's order when every
+    automorphism is even and 0 otherwise: the count is then that of the
+    classes with no odd automorphism.
+    """
+    if signed and loops:
+        raise ValueError("the signed count is of loopless graphs")
+    slots = [(a, b) for a in range(n) for b in range(a, n) if loops or a != b]
+    total = [0] * (max_edges + 1)
+    for phi in itertools.permutations(range(n)):
+        poly = [1] + [0] * max_edges
+        seen: set[tuple[int, int]] = set()
+        for slot in slots:
+            if slot in seen:
+                continue
+            size = reversed_pairs = 0
+            while slot not in seen:
+                seen.add(slot)
+                size += 1
+                a, b = phi[slot[0]], phi[slot[1]]
+                reversed_pairs += a > b
+                slot = (min(a, b), max(a, b))
+            factor = [0] * (max_edges + 1)
+            for m in range(min(max_multiplicity, max_edges // size) + 1):
+                factor[m * size] = -1 if signed and m * reversed_pairs % 2 else 1
+            poly = [
+                sum(poly[i] * factor[e - i] for i in range(e + 1))
+                for e in range(max_edges + 1)
+            ]
+        weight = inversion_count_sign(phi) if signed else 1
+        total = [t + weight * c for t, c in zip(total, poly)]
+    return [Fraction(t, math.factorial(n)) for t in total]

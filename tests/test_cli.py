@@ -9,8 +9,11 @@ import pytest
 
 import autsign.automorphism
 import autsign.cli
+import autsign.sweep
 from autsign import (
+    SweepParams,
     enumerate_automorphisms,
+    enumerate_multigraphs,
     induced_signed_edge_perm,
     parse_graph,
     permutation_sign,
@@ -250,13 +253,6 @@ def test_compute_disconnected_requires_extended(graph_file, capsys):
     assert out.count("agree=yes") == 8
 
 
-def test_compute_parse_error_has_line_number(graph_file, capsys):
-    rc = main(["compute", graph_file("v 2\ne 0 7\n")])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "line 2" in captured.err
-
-
 def test_compute_stops_at_the_group_cap_under_a_memory_limit(graph_file):
     # 12 isolated vertices have 12! automorphisms; without the cap, listing
     # them ran out of this address space with a MemoryError traceback.
@@ -391,6 +387,31 @@ def test_compute_refuses_a_cycle_space_too_large_under_a_memory_limit(graph_file
     )
 
 
+def test_verify_streams_each_group_under_a_memory_limit():
+    # The empty 9-vertex graph has 9! = 362880 automorphisms. Holding one
+    # record per automorphism took 175 MB in a worker and ran out of this
+    # address space with a MemoryError; streamed, the sweep takes 16 MB.
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "autsign", "verify", "--max-vertices", "9", "--max-edges", "0"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "graphs_checked: 9\n"
+        "automorphisms_checked: 409113\n"
+        "odd_graph_count: 8\n"
+        "failures: 0\n"
+    )
+
+
 def compute_on_a_99000_vertex_path_with_64_chords_in_384_mib(graph_file, *options):
     """`compute` on a 99,000-vertex path with 64 chords from vertex 0 to the
     far end, under a 384 MiB address space: its one output line."""
@@ -513,16 +534,6 @@ def test_census_settles_a_looped_graph_without_listing_its_group(
     assert captured.err == ""
 
 
-def test_compute_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
-    path = tmp_path / "graph.txt"
-    path.write_bytes(b"v 1\n\xff\n")
-    rc = main(["compute", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
-
-
 @pytest.mark.parametrize("command", ["verify", "census"])
 @pytest.mark.parametrize(
     "cap, value, message",
@@ -541,10 +552,99 @@ def test_sweeps_reject_a_cap_out_of_range(capsys, command, cap, value, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_compute_missing_file(capsys):
-    rc = main(["compute", "/nonexistent/graph.txt"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{{path}}'"),
+        ("directory", f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{{path}}'"),
+        (b"v 1\n\xff\n",
+         "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+        ((AT_THE_FILE_CAP + "#").encode(),
+         f"{{path}} is longer than the limit of {MAX_GRAPH_BYTES} bytes"),
+        (b"v 2\ne 0 7\n", "line 2: vertex index out of range 0..1"),
+        (GOLDENS["two_edges_disjoint"].text.encode(),
+         "graph is disconnected; rerun with --extended to include"
+         " the component-permutation sign"),
+        # one vertex with 10 loops: a block of 10! * 2**10 lifts
+        (b"v 1\n" + b"e 0 0\n" * 10,
+         "the automorphism group has more than 500000 elements, too many to list"),
+        (b"v 2\n" + b"e 0 1\n" * 66,
+         "the cycle space has rank 65, more than 64, too large to hold"),
+    ],
+    ids=["missing-file", "directory", "not-utf8", "over-the-file-cap", "parse-error",
+         "disconnected", "group-over-the-cap", "cycle-rank-over-the-cap"],
+)
+def test_compute_refuses_an_input_before_its_header(tmp_path, capsys, content, message):
+    # Each refusal raises where it is found, and main alone reports it: one
+    # line on stderr, exit status 2, no traceback and nothing on stdout.
+    path = tmp_path / "graph.txt"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    rc = main(["compute", str(path)])
+    captured = capsys.readouterr()
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path)}\n"
+
+
+def test_a_fork_that_fails_is_refused(monkeypatch, use_workers, capsys):
+    # An OSError met after the input is read takes the refusal path too.
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    use_workers(2)
+    rc = main(["census", "--max-vertices", "3", "--max-edges", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+
+
+def test_a_consistency_check_failing_in_a_worker_exits_2(monkeypatch, use_workers, capsys):
+    # Every ValueError takes the refusal path, including one of the program's
+    # own checks: here permutation_sign's, raised in the second chunk.
+    params = SweepParams(max_vertices=5, max_edges=4, max_multiplicity=2,
+                         connected_only=True)
+    target = list(enumerate_multigraphs(params))[CHUNK_GRAPHS + 5]
+    real = autsign.sweep._verify_one
+
+    def check_on_target(g):
+        if g == target:
+            permutation_sign((0, 0))
+        return real(g)
+
+    monkeypatch.setattr(autsign.sweep, "_verify_one", check_on_target)
+    use_workers(2)
+    rc = main(["verify", "--max-vertices", "5", "--max-edges", "4",
+               "--max-multiplicity", "2", "--connected-only"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: not a permutation: the image 0 repeats or is out of range\n"
+    )
+
+
+def test_a_full_disk_under_stdout_is_refused():
+    # With stdout block-buffered, as it is by default, the failed flush
+    # leaves the selftest's lines in the buffer; Python's own flush at exit
+    # must not fail on them again and add a second report.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "autsign", "selftest"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_verify_text_report(capsys):

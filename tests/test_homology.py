@@ -553,6 +553,10 @@ def test_det_transpose_invariant():
 def test_int_matrix_validation():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
+    # one negative dimension times the other, 0, matches the empty entries
+    for rows, cols in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="negative matrix dimension"):
+            IntMatrix(rows, cols, ())
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import math
 import os
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +23,7 @@ from autsign import (
 )
 from autsign.cli import main
 from autsign.sweep import CHUNK_GRAPHS, _bounded_vectors
+from oracles import burnside_class_counts, scan_vertex_bijections
 
 
 def graphs_for(**kwargs):
@@ -179,6 +183,32 @@ def test_census_flags_match_the_exhaustive_signs_on_the_connected_caps():
     assert odd == 9686
 
 
+def test_the_burnside_counts_match_the_labeled_classes_on_the_full_caps():
+    # A class of n-vertex graphs holds n!/|Aut_V| labeled graphs, so the
+    # labeled graphs of one class weigh |Aut_V|/n! and sum to 1. The signed
+    # count is of loopless graphs; their flags come from the exhaustive signs
+    # and |Aut_V| from the scan oracle, so nothing here reads the census rule.
+    params = SweepParams(max_vertices=5, max_edges=6, max_multiplicity=3, allow_loops=True)
+    classes, loopless, even = Counter(), Counter(), Counter()
+    for g in enumerate_multigraphs(params):
+        key = (g.vertex_count, g.edge_count)
+        weight = Fraction(len(list(scan_vertex_bijections(g))), math.factorial(key[0]))
+        classes[key] += weight
+        if all(a != b for a, b in g.edge_multiplicities):
+            loopless[key] += weight
+            if all(r.combinatorial == 1 for r in verify_graph(g)):
+                even[key] += weight
+    for labeled, loops, signed, total in (
+        (classes, True, False, 1439),
+        (loopless, False, False, 205),
+        (even, False, True, 104),
+    ):
+        assert sum(labeled.values()) == total
+        for n in range(1, 6):
+            counts = burnside_class_counts(n, 6, 3, loops, signed)
+            assert counts == [labeled[n, e] for e in range(7)], (n, loops, signed)
+
+
 def test_census_order_matches_enumeration():
     params = SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2, allow_loops=True)
     census_texts = [text for text, _ in census_orientable(params)]
@@ -258,7 +288,7 @@ def _census_list(params):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
 @pytest.mark.parametrize(
     "per_graph, sweep, fail, error, message",
-    [("verify_graph", sweep_verify, *f) for f in _FAILURES]
+    [("_verify_one", sweep_verify, *f) for f in _FAILURES]
     + [("has_odd_automorphism", _census_list, *f) for f in _FAILURES],
     ids=_FAILURE_IDS + [f"census-{i}" for i in _FAILURE_IDS],
 )
