@@ -21,6 +21,12 @@ from .multigraph import Multigraph, Orientation
 # 22 MB on a 2-vCPU VM. Every pinned group is far below it (the largest, one
 # vertex with 6 loops, has 46080 elements).
 MAX_AUTOMORPHISMS = 500_000
+# The most turns the vertex-bijection search takes. On some labelings (a
+# shuffled path, a random cubic graph) its index order backtracks for a time
+# exponential in the vertex count; the cap turns that into an error in about
+# 16 s on a 2-vCPU VM. The largest pinned groups take far fewer: 9 isolated
+# vertices 1,972,819 turns, K_{1,8} 219,203, no full-cap graph more than 651.
+MAX_SEARCH_STEPS = 20_000_000
 
 
 class GroupTooLargeError(ValueError):
@@ -158,7 +164,8 @@ def _vertex_bijections(g: Multigraph) -> tuple[array, int, int]:
     """The bijection table ``(table, bijections, block)``: the b-th vertex
     bijection that keeps multiplicities, in lexicographic order, is
     ``table[b * n:(b + 1) * n]``, one byte per image up to 256 vertices, with
-    ``block`` lifts. Raises GroupTooLargeError once the group passes the cap.
+    ``block`` lifts. Raises GroupTooLargeError once the group passes the cap,
+    and ValueError once the search takes more than MAX_SEARCH_STEPS turns.
 
     Backtracks over the images of vertices 0, 1, ... in turn. Vertex v may
     go to a free vertex w of its (degree, loop count) colour that has v's
@@ -197,8 +204,13 @@ def _vertex_bijections(g: Multigraph) -> tuple[array, int, int]:
     taken = [False] * n
     placed = [0] * n
     tries: list[Iterator[int]] = [iter(())] * n
+    steps = MAX_SEARCH_STEPS
     v = 0
     while v >= 0:
+        steps -= 1
+        if steps < 0:
+            raise ValueError(f"the automorphism search took more than {MAX_SEARCH_STEPS} "
+                             "steps, too many to finish")
         if v == n:
             if (bijections + 1) * block > MAX_AUTOMORPHISMS:
                 raise _too_large()

@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+import time
 from dataclasses import asdict
 from typing import Callable, Iterator
 
@@ -126,10 +127,11 @@ def _params_from_args(args: argparse.Namespace) -> SweepParams:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
+    started = time.perf_counter()
     report = sweep_verify(params)
+    elapsed = time.perf_counter() - started
     if args.json:
         doc = asdict(report) | {"params": asdict(params), "ok": report.ok}
-        del doc["elapsed_seconds"]
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"graphs_checked: {report.graphs_checked}")
@@ -142,7 +144,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f" hep={f.half_edge_perm} hom={_SIGN_TEXT[f.homological]}"
                 f" comb={_SIGN_TEXT[f.combinatorial]}"
             )
-    print(f"elapsed: {report.elapsed_seconds:.2f}s", file=sys.stderr)
+    print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -6,7 +6,7 @@ No floating point anywhere; Python ints make every determinant exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .automorphism import Automorphism, SignedEdgePermutation, induced_signed_edge_perm
 from .multigraph import Multigraph, Orientation, SpanningForest
@@ -304,9 +304,10 @@ def _cycle_space_det(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
     Laplace expansion along its one-entry rows.
 
     The row of a non-tree edge e holds one entry, e's arrow sign in e's own
-    column; such rows are expanded as they are met, and _expanded_det builds
-    the rows of tree edges, in edge order, on the columns left over and
-    finishes the determinant. Reads only the rows' entries, in exact integers.
+    column; such rows are expanded as they are met. _bareiss eliminates the
+    rows of tree edges, in edge order, built by _row on the columns left over,
+    and _expanded_det adds the sign of the row-to-column pairing. Reads only
+    the rows' entries, in exact integers.
     """
     row_of_edge, edge_sign = basis.row_of_edge, sep.edge_sign
     if len(row_of_edge) != len(sep.edge_perm):
@@ -315,7 +316,6 @@ def _cycle_space_det(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
     if not row_at:  # rank 0: no edge maps onto a non-tree edge
         return 1
     tree_edges: list[int] = []
-    tree_rows: list[int] = []
     det = 1
     for e, f in enumerate(sep.edge_perm):
         i = row_of_edge[f]
@@ -324,38 +324,29 @@ def _cycle_space_det(basis: CycleBasis, sep: SignedEdgePermutation) -> int:
         j = row_of_edge[e]
         if j < 0:
             tree_edges.append(e)
-            tree_rows.append(i)
         else:
             row_at[j] = i
             if edge_sign[e] < 0:
                 det = -det
+    if tree_edges:
+        free = [j for j, i in enumerate(row_at) if i < 0]
+        if len(free) != len(tree_edges):
+            return 0  # the pairing is not one to one
+        for j, e in zip(free, tree_edges):
+            row_at[j] = row_of_edge[sep.edge_perm[e]]
+        det *= _bareiss([_row(basis, e, edge_sign[e], free) for e in tree_edges])
+    return _expanded_det(row_at, det)
 
-    def build(free: list[int]) -> list[list[int]]:
-        return [_row(basis, e, edge_sign[e], free) for e in tree_edges]
 
-    return _expanded_det(row_at, det, tree_rows, build)
-
-
-def _expanded_det(
-    row_at: list[int], det: int, rows: Sequence[int], build: Callable[..., list] | None = None
-) -> int:
+def _expanded_det(row_at: list[int], det: int) -> int:
     """Finish a determinant taken by Laplace expansion along one-entry rows,
     overwriting ``row_at``.
 
-    ``row_at[j]`` is the row expanded in column j, or -1 where column j is
-    left over, and ``det`` is the product of those rows' entries. The rows
-    left over, ``rows``, take the columns left over in ascending order, and
-    ``build(columns)`` gives their entries there; their determinant, by
-    _bareiss, joins the product. The result is that product times the sign
-    of the row-to-column pairing, or 0 when the pairing is not one to one.
+    ``row_at[j]`` is the row paired with column j, or -1 where column j has
+    none, and ``det`` the product of the expanded entries and of the
+    determinant of any rows left over. The result is that product times the
+    sign of the row-to-column pairing, or 0 when the pairing is not one to one.
     """
-    if rows:
-        free = [j for j, i in enumerate(row_at) if i < 0]
-        if len(free) != len(rows):
-            return 0
-        for j, i in zip(free, rows):
-            row_at[j] = i
-        det *= _bareiss(build(free))
     # the pairing's parity: each swap puts one more row in its own column
     for j in range(len(row_at)):
         i = row_at[j]

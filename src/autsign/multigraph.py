@@ -19,7 +19,8 @@ from typing import Iterable, Iterator
 # declarations into a clear error before any per-vertex table is allocated.
 # The automorphism search places vertices in index order, so a path numbered
 # along itself is searched in linear time, but a path or cycle whose labels
-# are shuffled backtracks for a time exponential in its length.
+# are shuffled backtracks for a time exponential in its length, until the
+# search budget (automorphism.MAX_SEARCH_STEPS) refuses it.
 MAX_VERTICES = 100_000
 # The largest edge count parse_graph accepts. Every listed automorphism holds
 # a half-edge permutation with two entries per edge (1.6 MB at the cap).

@@ -132,8 +132,8 @@ def _chain_determinants(
     the determinant ``cycle_space_det`` of its matrix on the cycle basis and
     the parity ``component_sign`` of its permutation of components."""
     return DeterminantFactors(
-        edge_space_det=_expanded_det(list(sep.edge_perm), prod(sep.edge_sign), ()),
-        vertex_space_det=_expanded_det(list(a.vertex_perm), 1, ()),
+        edge_space_det=_expanded_det(list(sep.edge_perm), prod(sep.edge_sign)),
+        vertex_space_det=_expanded_det(list(a.vertex_perm), 1),
         cycle_space_det=cycle_space_det,
         component_sign=component_sign,
     )

@@ -2,6 +2,7 @@ import errno
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -23,7 +24,7 @@ from autsign.cli import main
 from autsign.homology import _cycle_space_det
 from autsign.multigraph import MAX_EDGES, MAX_GRAPH_BYTES, MAX_VERTICES
 from autsign.sweep import CHUNK_GRAPHS, PIPE_BYTES
-from conftest import GOLDENS, count_calls
+from conftest import GOLDENS, count_calls, returns_within
 
 
 @pytest.fixture
@@ -587,6 +588,24 @@ def test_compute_refuses_an_input_before_its_header(tmp_path, capsys, content, m
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: {message.format(path=path)}\n"
+
+
+def test_compute_refuses_a_search_over_the_step_budget(monkeypatch, graph_file, capsys):
+    # A path on 25 vertices with shuffled labels: the index-order search
+    # backtracks for seconds before it finds the two bijections, so a budget
+    # of 10**5 steps refuses it, fast and before the header.
+    labels = list(range(25))
+    random.Random(1).shuffle(labels)
+    text = "v 25\n" + "".join(f"e {a} {b}\n" for a, b in itertools.pairwise(labels))
+    monkeypatch.setattr(autsign.automorphism, "MAX_SEARCH_STEPS", 10**5)
+    with returns_within(10):
+        rc = main(["compute", graph_file(text)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the automorphism search took more than 100000 steps, too many to finish\n"
+    )
 
 
 def test_a_fork_that_fails_is_refused(monkeypatch, use_workers, capsys):

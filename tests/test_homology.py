@@ -432,7 +432,7 @@ def test_the_expanded_determinant_of_one_entry_columns_is_dense_bareiss():
                     rows = [[0] * n for _ in range(n)]
                     for j in range(n):
                         rows[p[j]][j] = s[j]
-                    assert _expanded_det(list(p), math.prod(s), ()) == _bareiss(rows)
+                    assert _expanded_det(list(p), math.prod(s)) == _bareiss(rows)
 
 
 @pytest.mark.parametrize(
