@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .multigraph import Multigraph, Orientation
 
@@ -40,14 +39,45 @@ def _too_large() -> GroupTooLargeError:
     )
 
 
-@dataclass(frozen=True)
 class Automorphism:
+    """A half-edge permutation and the vertex permutation it induces.
+
+    Immutable, compared and hashed by value. Not a tuple, because a tuple
+    cannot be weakly referenced, and a caller streaming a large group may
+    watch its elements go.
+    """
+
+    __slots__ = ("half_edge_perm", "vertex_perm", "__weakref__")
     half_edge_perm: tuple[int, ...]
     vertex_perm: tuple[int, ...]
 
+    def __init__(self, half_edge_perm: tuple[int, ...], vertex_perm: tuple[int, ...]) -> None:
+        object.__setattr__(self, "half_edge_perm", half_edge_perm)
+        object.__setattr__(self, "vertex_perm", vertex_perm)
 
-@dataclass(frozen=True)
-class SignedEdgePermutation:
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[int, ...], tuple[int, ...]]]:
+        return self.__class__, (self.half_edge_perm, self.vertex_perm)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.half_edge_perm, self.vertex_perm) == (other.half_edge_perm, other.vertex_perm)
+
+    def __hash__(self) -> int:
+        return hash((self.half_edge_perm, self.vertex_perm))
+
+    def __repr__(self) -> str:
+        return (f"Automorphism(half_edge_perm={self.half_edge_perm!r}, "
+                f"vertex_perm={self.vertex_perm!r})")
+
+
+class SignedEdgePermutation(NamedTuple):
     """Edge permutation plus, per edge, whether the arrow direction survives."""
 
     edge_perm: tuple[int, ...]

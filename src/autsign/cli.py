@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import random
 import sys
 import time
-from dataclasses import asdict
 from typing import Callable, Iterator
 
 from .automorphism import automorphism_shares, cycle_notation
@@ -131,7 +129,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = sweep_verify(params)
     elapsed = time.perf_counter() - started
     if args.json:
-        doc = asdict(report) | {"params": asdict(params), "ok": report.ok}
+        import json  # here, so that no other command pays for its import
+
+        # json writes a named tuple as an array, so each failure goes in as a dict
+        doc = report._asdict() | {
+            "failures": [f._asdict() for f in report.failures],
+            "params": params._asdict(),
+            "ok": report.ok,
+        }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"graphs_checked: {report.graphs_checked}")

@@ -5,11 +5,10 @@ No floating point anywhere; Python ints make every determinant exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .automorphism import Automorphism, SignedEdgePermutation, induced_signed_edge_perm
-from .multigraph import Multigraph, Orientation, SpanningForest
+from .multigraph import Multigraph, Orientation, SpanningForest, _Validated
 
 # The largest cycle rank whose cycle space is built. The basis takes O(V + E)
 # ints at any rank, and each automorphism's determinant expands the rows of
@@ -42,15 +41,18 @@ class UnimodularityError(ArithmeticError):
     upstream, since group elements must act invertibly on an integer lattice."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense matrix of arbitrary-precision integers, row-major."""
-
+class _IntMatrixFields(NamedTuple):
     rows: int
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class IntMatrix(_Validated, _IntMatrixFields):
+    """Dense matrix of arbitrary-precision integers, row-major."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimension")
         if len(self.entries) != self.rows * self.cols:
@@ -76,8 +78,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(NamedTuple):
     """Fundamental cycles of a spanning forest, as a basis of the cycle space,
     held as subtree intervals in O(V + E) ints.
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple, NoReturn
 
 
 # The largest vertex count parse_graph accepts; the cap turns absurd
@@ -36,16 +35,32 @@ class GraphFormatError(ValueError):
     """Malformed graph text; the message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class _Validated:
+    """Base of the records whose fields are checked: the named tuple built
+    from the arguments is handed to ``_check``, which raises ValueError on a
+    bad field. ``_make``, and so ``_replace``, build through ``__new__`` too,
+    as does unpickling."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
+
+
+class ComponentPartition(NamedTuple):
     """Connected components, indexed contiguously from 0."""
 
     component_of: tuple[int, ...]
     component_count: int
 
 
-@dataclass(frozen=True)
-class SpanningForest:
+class SpanningForest(NamedTuple):
     """A spanning tree per component, as parent pointers.
 
     ``parent_edge[v]`` is the tree edge joining v to its parent, -1 at a root,
@@ -57,13 +72,16 @@ class SpanningForest:
     depth: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """An arrow on every edge: ``tail[e]`` is the half-edge the arrow leaves."""
-
+class _OrientationFields(NamedTuple):
     tail: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class Orientation(_Validated, _OrientationFields):
+    """An arrow on every edge: ``tail[e]`` is the half-edge the arrow leaves."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for e, t in enumerate(self.tail):
             if t >> 1 != e:
                 raise ValueError(
@@ -74,19 +92,25 @@ class Orientation:
         return self.tail[e] ^ 1
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class _MultigraphFields(NamedTuple):
+    vertex_count: int
+    endpoint: tuple[int, ...]
+
+
+class Multigraph(_Validated, _MultigraphFields):
     """A finite multigraph in half-edge form.
 
     Invariants enforced at construction: the half-edge count is even and every
     half-edge is attached to an existing vertex. The pairing ``h ^ 1`` is an
-    involution without fixed points by encoding.
+    involution without fixed points by encoding. No ``__slots__``: the cached
+    structure queries live in the instance ``__dict__``, which
+    ``cached_property`` writes without ``__setattr__``.
     """
 
-    vertex_count: int
-    endpoint: tuple[int, ...]
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         if len(self.endpoint) % 2 != 0:

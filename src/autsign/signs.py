@@ -9,9 +9,8 @@ is +1 on a connected graph. The two routes agree on every multigraph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .automorphism import (
     Automorphism,
@@ -32,8 +31,7 @@ from .homology import (
 from .multigraph import Multigraph, Orientation, reference_orientation, spanning_forest
 
 
-@dataclass(frozen=True)
-class DeterminantFactors:
+class DeterminantFactors(NamedTuple):
     """Chain-level determinants backing one sign computation.
 
     All three are exact determinants read off the chain maps' entries (the
@@ -58,8 +56,7 @@ class DeterminantFactors:
         )
 
 
-@dataclass(frozen=True)
-class SignComparison:
+class SignComparison(NamedTuple):
     """Both signs of one automorphism, their factors, and optional diagnostics."""
 
     homological: int

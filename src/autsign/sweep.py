@@ -20,23 +20,25 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
 
 from . import automorphism
-from .multigraph import Multigraph, serialize_compact
+from .multigraph import Multigraph, _Validated, serialize_compact
 from .signs import comparisons, has_odd_automorphism
 
 
-@dataclass(frozen=True)
-class SweepParams:
+class _SweepParamsFields(NamedTuple):
     max_vertices: int
     max_edges: int
     max_multiplicity: int = 1
     allow_loops: bool = False
     connected_only: bool = False
 
-    def __post_init__(self) -> None:
+
+class SweepParams(_Validated, _SweepParamsFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be >= 1")
         if self.max_edges < 0:
@@ -45,8 +47,7 @@ class SweepParams:
             raise ValueError("max_multiplicity must be >= 1")
 
 
-@dataclass(frozen=True)
-class TheoremFailure:
+class TheoremFailure(NamedTuple):
     """One automorphism whose two signs disagreed (never happens when correct)."""
 
     graph: str
@@ -56,12 +57,11 @@ class TheoremFailure:
     combinatorial: int
 
 
-@dataclass
-class VerificationReport:
-    graphs_checked: int = 0
-    automorphisms_checked: int = 0
-    odd_graph_count: int = 0
-    failures: list[TheoremFailure] = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    graphs_checked: int
+    automorphisms_checked: int
+    odd_graph_count: int
+    failures: list[TheoremFailure]
 
     @property
     def ok(self) -> bool:
@@ -327,14 +327,15 @@ def sweep_verify(params: SweepParams) -> VerificationReport:
     the caps alone reveal is refused before the first fork.
     """
     _refuse_a_group_too_large(params)
-    report = VerificationReport()
+    graphs = automorphisms = odd = 0
+    failures: list[TheoremFailure] = []
     chunks = ordered_map(lambda owns: map(_verify_one, _share_graphs(params, owns)))
-    for automorphisms, odd, failures in itertools.chain.from_iterable(chunks):
-        report.graphs_checked += 1
-        report.automorphisms_checked += automorphisms
-        report.odd_graph_count += odd
-        report.failures.extend(failures)
-    return report
+    for count, is_odd, found in itertools.chain.from_iterable(chunks):
+        graphs += 1
+        automorphisms += count
+        odd += is_odd
+        failures.extend(found)
+    return VerificationReport(graphs, automorphisms, odd, failures)
 
 
 def _census_one(g: Multigraph) -> tuple[str, bool]:

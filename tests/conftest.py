@@ -8,6 +8,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
+import autsign.signs
 import autsign.sweep
 from autsign import Multigraph, parse_graph
 
@@ -83,6 +84,21 @@ def use_workers(monkeypatch):
         monkeypatch.setattr(autsign.sweep, "_worker_count", lambda: workers)
 
     return use
+
+
+@pytest.fixture
+def swaps_disagree(monkeypatch):
+    """Flip the homological sign of every automorphism that swaps vertices 0
+    and 1, through the component parity it multiplies in, so that the sweeps
+    report disagreements. The parity is shared by a vertex-bijection block,
+    which has one vertex permutation."""
+    real = autsign.signs.component_permutation_sign
+
+    def wrong_on_swaps(g, a):
+        sign = real(g, a)
+        return -sign if a.vertex_perm[:2] == (1, 0) else sign
+
+    monkeypatch.setattr(autsign.signs, "component_permutation_sign", wrong_on_swaps)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import itertools
 import json
 import os
@@ -694,6 +695,37 @@ def test_verify_json_report(capsys):
     assert "elapsed" not in doc
 
 
+# The sha256 and byte count of `verify --json` under swaps_disagree, and its
+# failure count. The second family's failures come from 81 graphs, so they
+# span several chunks of the ordered map.
+VERIFY_JSON_WITH_FAILURES = [
+    (["--max-vertices", "2", "--max-edges", "2", "--max-multiplicity", "2"],
+     "47b81611a97c0b79e678f4b910c714e894cb6f4b4544753a801fd4fcf503d661", 1085, 4),
+    (["--max-vertices", "4", "--max-edges", "4", "--loops"],
+     "bf1ff57427e2211a24917f480631ae8df2391be99ce322076465708060785914", 83691, 292),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("caps, digest, size, failures", VERIFY_JSON_WITH_FAILURES,
+                         ids=["2-vertices", "4-vertices-with-loops"])
+def test_verify_json_with_failures_is_pinned_byte_for_byte(
+    capsys, use_workers, swaps_disagree, workers, caps, digest, size, failures
+):
+    use_workers(workers)
+    rc = main(["verify", *caps, "--json"])
+    out = capsys.readouterr().out.encode()
+    assert rc == 1
+    doc = json.loads(out)
+    assert len(doc["failures"]) == failures
+    # each failure is an object, not an array of its fields
+    assert all(
+        sorted(f) == ["combinatorial", "graph", "half_edge_perm", "homological", "vertex_perm"]
+        for f in doc["failures"]
+    )
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
+
+
 def test_verify_output_deterministic(capsys):
     argv = ["verify", "--max-vertices", "3", "--max-edges", "2", "--loops"]
     main(argv)
@@ -824,6 +856,22 @@ def test_compute_into_a_closed_pipe_exits_1_and_leaves_no_worker(graph_file):
     assert status == 1
     assert lines == [b"graph: v 1; e 0 0; e 0 0; e 0 0; e 0 0; e 0 0; e 0 0\n"]
     assert err == b""
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # Each of these adds to every command's start-up; json is loaded only
+    # where `verify --json` prints.
+    def modules(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = modules("import autsign.cli") - modules("pass")
+    assert "autsign.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json"})
 
 
 def test_importing_the_cli_loads_no_pickle_signal_or_process_pool():

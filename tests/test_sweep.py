@@ -213,21 +213,6 @@ def test_census_order_matches_enumeration():
     assert census_texts == [serialize_compact(g) for g in enumerate_multigraphs(params)]
 
 
-@pytest.fixture
-def swaps_disagree(monkeypatch):
-    """Flip the homological sign of every automorphism that swaps vertices 0
-    and 1, through the component parity it multiplies in, so that the sweeps
-    report disagreements. The parity is shared by a vertex-bijection block,
-    which has one vertex permutation."""
-    real = autsign.signs.component_permutation_sign
-
-    def wrong_on_swaps(g, a):
-        sign = real(g, a)
-        return -sign if a.vertex_perm[:2] == (1, 0) else sign
-
-    monkeypatch.setattr(autsign.signs, "component_permutation_sign", wrong_on_swaps)
-
-
 def test_disagreement_reaches_the_report_with_its_permutations(use_workers, swaps_disagree):
     use_workers(2)
     report = sweep_verify(SweepParams(max_vertices=2, max_edges=2, max_multiplicity=2))
