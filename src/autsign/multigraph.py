@@ -255,13 +255,17 @@ def parse_graph(text: str) -> Multigraph:
 
     ``v <n>`` must come first, exactly once, with 0 <= n <= MAX_VERTICES;
     each ``e <a> <b>`` adds one edge (a == b makes a loop, repeats make
-    parallel edges), at most MAX_EDGES in all. ``#`` starts a comment that
-    runs to the end of its line, blank lines are skipped, and ``;`` separates
-    directives within a line so one-line serializations parse too.
+    parallel edges), at most MAX_EDGES in all. A line ends at a line feed,
+    a carriage return or the pair of them, and at no other character that
+    ``str.splitlines`` breaks at (a form feed is whitespace within a line).
+    ``#`` starts a comment that runs to the end of its line, blank lines are
+    skipped, and ``;`` separates directives within a line so one-line
+    serializations parse too.
     """
     vertex_count: int | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

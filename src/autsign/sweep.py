@@ -108,8 +108,7 @@ def _spans_all(vertex_count: int, slot_masks: list[int], vector: tuple[int, ...]
 # Items per chunk of the ordered map, graphs in a sweep and automorphisms in
 # compute: small enough that the workers' shares of the connected sweep (197
 # chunks) stay even, large enough that pickling and unpickling a chunk is a
-# small part of its work. A widened pipe holds hundreds of compute chunks
-# (PIPE_BYTES), so a worker seldom waits for its turn.
+# small part of its work.
 CHUNK_GRAPHS = 64
 
 Slots = list[tuple[int, int]]
@@ -131,9 +130,14 @@ def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, 
     upper triangle in row-major order (diagonal slots are loop counts, present
     only when loops are allowed); each slot multiplicity runs 0..cap and the
     total edge budget is enforced during generation. With ``connected_only``
-    connectivity is read off the vector, before any graph is built.
+    connectivity is read off the vector, before any graph is built, and the
+    walk stops at max_edges + 1 vertices, the most that max_edges edges
+    connect.
     """
-    for n in range(1, params.max_vertices + 1):
+    last = params.max_vertices
+    if params.connected_only:
+        last = min(last, params.max_edges + 1)
+    for n in range(1, last + 1):
         slots = [
             (i, j)
             for i in range(n)
@@ -145,19 +149,6 @@ def _kept_vectors(params: SweepParams) -> Iterator[tuple[int, Slots, tuple[int, 
             if params.connected_only and not _spans_all(n, slot_masks, vector):
                 continue
             yield n, slots, vector
-
-
-def _refuse_a_group_too_large(params: SweepParams) -> None:
-    """Raise GroupTooLargeError, before any graph is built, when the caps
-    alone put a group over MAX_AUTOMORPHISMS in the sweep: without
-    ``connected_only`` the empty graph on max_vertices vertices is always in
-    it, with max_vertices! automorphisms."""
-    if params.connected_only:
-        return
-    # stops at the first factorial over the cap, however large max_vertices is
-    factorials = itertools.accumulate(range(1, params.max_vertices + 1), operator.mul)
-    if any(order > automorphism.MAX_AUTOMORPHISMS for order in factorials):
-        raise automorphism._too_large()
 
 
 def _share_graphs(params: SweepParams, owns: Owns) -> Iterator[Multigraph]:
@@ -189,26 +180,6 @@ def _chunks(items: Iterable[T]) -> Iterator[list[T]]:
     items = iter(items)
     while chunk := list(itertools.islice(items, CHUNK_GRAPHS)):
         yield chunk
-
-
-# The bytes each worker's pipe is set to hold: Linux's pipe-max-size for
-# unprivileged processes, about 200 chunks of compute's lines (a chunk of 64
-# pickles to about 5 KB), where the default 64 KiB holds about 12. The parent
-# reads the pipes in turn, so a worker whose pipe is full waits for it.
-PIPE_BYTES = 1 << 20
-
-
-def _widen_pipe(fd: int) -> None:
-    """Let the pipe of ``fd`` hold PIPE_BYTES where the system allows it; it
-    keeps its default size where ``F_SETPIPE_SZ`` does not exist or the call
-    is refused (as past Linux's pipe-user-pages-soft)."""
-    import fcntl
-
-    if hasattr(fcntl, "F_SETPIPE_SZ"):
-        try:
-            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-        except OSError:
-            pass
 
 
 def _work(out: BinaryIO, read_ends: list[BinaryIO], results: Iterator[object]) -> NoReturn:
@@ -247,10 +218,10 @@ def ordered_map(
     dealt to worker i modulo the worker count. ``share_items(owns)`` yields,
     in stream order, the items at the indices i with ``owns(i)``. One forked
     worker per CPU, but no more than there are chunks when the stream's
-    length ``count`` is known, runs its share and pipes one list per chunk
-    through a pipe widened to PIPE_BYTES where the system allows it; the
-    parent reads one list from each pipe in turn. With one worker, or
-    without ``os.fork``, the whole stream is cut into chunks in this process.
+    length ``count`` is known, runs its share and sends one list per chunk
+    through its own pipe; the parent reads one list from each pipe in turn.
+    With one worker, or without ``os.fork``, the whole stream is cut into
+    chunks in this process.
     An exception in a share reaches the consumer with its type and message,
     after the chunks before the one it stopped. Every worker is reaped, also
     when the map is closed early; the exit statuses are checked at its end.
@@ -268,7 +239,6 @@ def ordered_map(
     try:
         for share in range(workers):
             read_fd, write_fd = os.pipe()
-            _widen_pipe(write_fd)
             readers.append(os.fdopen(read_fd, "rb"))
             with os.fdopen(write_fd, "wb") as writer:
                 pid = os.fork()
@@ -317,6 +287,22 @@ def _verify_one(g: Multigraph) -> tuple[int, bool, list[TheoremFailure]]:
     return count, odd, failures
 
 
+def _per_graph(params: SweepParams, per_graph: Callable[[Multigraph], T]) -> Iterator[T]:
+    """``per_graph`` of every enumerated graph, in stream order, made by the
+    ordered map's workers. Before the first fork it raises
+    GroupTooLargeError when the caps alone put a group over
+    MAX_AUTOMORPHISMS in the sweep: without ``connected_only`` the empty
+    graph on max_vertices vertices is always in it, with max_vertices!
+    automorphisms. Closing the stream early stops and reaps the workers."""
+    if not params.connected_only:
+        # stops at the first factorial over the cap, however large max_vertices is
+        factorials = itertools.accumulate(range(1, params.max_vertices + 1), operator.mul)
+        if any(order > automorphism.MAX_AUTOMORPHISMS for order in factorials):
+            raise automorphism._too_large()
+    for chunk in ordered_map(lambda owns: map(per_graph, _share_graphs(params, owns))):
+        yield from chunk
+
+
 def sweep_verify(params: SweepParams) -> VerificationReport:
     """Check both signs on every automorphism of the whole enumeration and
     aggregate.
@@ -326,11 +312,9 @@ def sweep_verify(params: SweepParams) -> VerificationReport:
     reaches the caller with its type and message. A group over the cap that
     the caps alone reveal is refused before the first fork.
     """
-    _refuse_a_group_too_large(params)
     graphs = automorphisms = odd = 0
     failures: list[TheoremFailure] = []
-    chunks = ordered_map(lambda owns: map(_verify_one, _share_graphs(params, owns)))
-    for count, is_odd, found in itertools.chain.from_iterable(chunks):
+    for count, is_odd, found in _per_graph(params, _verify_one):
         graphs += 1
         automorphisms += count
         odd += is_odd
@@ -348,6 +332,4 @@ def census_orientable(params: SweepParams) -> Iterator[tuple[str, bool]]:
     an odd automorphism. Closing the stream early stops and reaps the workers.
     A group over the cap that the caps alone reveal is refused before the
     first fork."""
-    _refuse_a_group_too_large(params)
-    for chunk in ordered_map(lambda owns: map(_census_one, _share_graphs(params, owns))):
-        yield from chunk
+    return _per_graph(params, _census_one)

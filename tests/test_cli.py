@@ -24,7 +24,7 @@ from autsign import (
 from autsign.cli import main
 from autsign.homology import _cycle_space_det
 from autsign.multigraph import MAX_EDGES, MAX_GRAPH_BYTES, MAX_VERTICES
-from autsign.sweep import CHUNK_GRAPHS, PIPE_BYTES
+from autsign.sweep import CHUNK_GRAPHS
 from conftest import GOLDENS, count_calls, returns_within
 
 
@@ -124,51 +124,14 @@ def test_compute_output_does_not_depend_on_the_worker_count(
         use_workers(workers)
         assert main(["compute", path, *flags]) == 0
         outputs.append(capsys.readouterr().out)
+        # every worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     lines = outputs[0].splitlines()
     assert lines[2] == f"automorphisms: {order}"
     assert [line.split()[0] for line in lines[3:]] == [f"[{i}]" for i in range(order)]
     assert outputs[0].count(" agree=yes") == order
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
-@pytest.mark.parametrize("fallback", ["no-F_SETPIPE_SZ", "refused"])
-def test_workers_keep_a_pipe_that_cannot_be_widened(
-    monkeypatch, use_workers, graph_file, capsys, fallback
-):
-    fcntl = pytest.importorskip("fcntl")
-    refused = []
-    if fallback == "no-F_SETPIPE_SZ":
-        monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
-    else:
-        # as past Linux's pipe-user-pages-soft
-        def refuse(*args):
-            refused.append(args[1:])
-            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
-
-        monkeypatch.setattr(fcntl, "fcntl", refuse)
-    caps = ["--max-vertices", "4", "--max-edges", "4", "--loops"]
-    runs = [
-        ["compute", graph_file(LOOP4, "loop4.txt")],
-        ["compute", graph_file(STAR_K15, "star.txt")],
-        ["compute", "--diagnostics", graph_file(LOOP4, "loop4.txt")],
-        ["compute", "--diagnostics", graph_file(STAR_K15, "star.txt")],
-        ["verify", *caps],
-        ["census", *caps],
-    ]
-    for argv in runs:
-        outputs = []
-        for workers in (1, 2, 3):
-            use_workers(workers)
-            assert main(argv) == 0, argv
-            outputs.append(capsys.readouterr().out)
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-        assert outputs[0] == outputs[1] == outputs[2], argv
-    if fallback == "refused":
-        # one request per forked worker: 2 + 3 per run, but 2 + 2 on the
-        # star's two chunks
-        assert refused == [(fcntl.F_SETPIPE_SZ, PIPE_BYTES)] * (4 * (2 + 3) + 2 * (2 + 2))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need os.fork")
@@ -607,6 +570,18 @@ def test_compute_refuses_a_search_over_the_step_budget(monkeypatch, graph_file, 
     assert captured.err == (
         "error: the automorphism search took more than 100000 steps, too many to finish\n"
     )
+
+
+def test_a_connected_sweep_stops_at_the_vertices_its_edges_can_connect(capsys):
+    # One edge connects at most two vertices, so the sweep stops there; a
+    # walk over every vertex count up to 200 would take minutes.
+    with returns_within(10):
+        rc = main(["verify", "--connected-only", "--max-vertices", "200", "--max-edges", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "graphs_checked: 2",
+        "automorphisms_checked: 3",
+    ]
 
 
 def test_a_fork_that_fails_is_refused(monkeypatch, use_workers, capsys):

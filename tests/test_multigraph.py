@@ -60,6 +60,14 @@ def test_parse_comments_blanks_and_compact_form():
     text = "# header\n\nv 2\n# middle\ne 0 1\n"
     assert parse_graph(text) == Multigraph.from_edges(2, [(0, 1)])
     assert parse_graph("v 2; e 0 1") == Multigraph.from_edges(2, [(0, 1)])
+    # CRLF and CR end lines too
+    assert parse_graph("v 2\r\n# middle\r\ne 0 1\r\n") == Multigraph.from_edges(2, [(0, 1)])
+    assert parse_graph("v 2\r# middle\re 0 1\r") == Multigraph.from_edges(2, [(0, 1)])
+    # a comment runs to the end of its line, past the other characters
+    # str.splitlines breaks at
+    assert parse_graph("v 2\n# note\x0cmore\ne 0 1\n") == Multigraph.from_edges(2, [(0, 1)])
+    for brk in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        assert parse_graph(f"v 2\n# see{brk}e 0 1\n") == Multigraph(2, ()), repr(brk)
 
 
 def test_readme_format_example_parses_to_the_triangle():
@@ -115,9 +123,19 @@ def test_parse_errors(text, fragment):
         parse_graph(text)
 
 
-def test_parse_error_reports_correct_line():
-    with pytest.raises(GraphFormatError, match="line 4"):
-        parse_graph("v 3\n# fine\ne 0 1\ne 0 9\n")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v 3\n# fine\ne 0 1\ne 0 9\n",
+        "v 3\r\n# fine\r\ne 0 1\r\ne 0 9\r\n",
+        "v 3\r# fine\re 0 1\re 0 9\r",
+        "v 3\n# fine\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029fine\ne 0 1\ne 0 9\n",
+    ],
+    ids=["lf", "crlf", "cr", "other-breaks-in-a-comment"],
+)
+def test_parse_error_reports_correct_line(text):
+    with pytest.raises(GraphFormatError, match="^line 4: vertex index out of range"):
+        parse_graph(text)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))

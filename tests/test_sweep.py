@@ -70,6 +70,8 @@ def test_enumeration_order_is_lexicographic_on_multiplicity_vector():
     [
         dict(max_vertices=4, max_edges=4, max_multiplicity=2, allow_loops=True),
         dict(max_vertices=5, max_edges=4, max_multiplicity=1),
+        # more vertices than the edges can connect
+        dict(max_vertices=6, max_edges=2, max_multiplicity=1),
     ],
 )
 def test_connected_only_keeps_the_connected_members_in_order(caps):
@@ -242,6 +244,9 @@ def test_report_does_not_depend_on_the_worker_count(use_workers, swaps_disagree)
     for workers in (1, 2, 3):
         use_workers(workers)
         reports.append(sweep_verify(params))
+        # every worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     assert len({f.graph for f in reports[0].failures}) > CHUNK_GRAPHS
     assert reports[0] == reports[1] == reports[2]
 
@@ -336,6 +341,9 @@ def test_census_output_does_not_depend_on_the_worker_count(use_workers, capsys):
         use_workers(workers)
         assert main(["census", "--max-vertices", "4", "--max-edges", "4", "--loops"]) == 0
         outputs.append(capsys.readouterr().out)
+        # every worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
     assert len(outputs[0].splitlines()) == graphs + 1
     assert outputs[0] == outputs[1] == outputs[2]
 
